@@ -28,7 +28,7 @@ from .errors import SpinLDPError
 from .io_utils import write_csv
 from .magnetization import mag_model
 from .rate_functions import RateFunctionSpec, bernoulli_rate, double_well_rate, tabulated_rate
-from .seeding import child_seed
+from .seeding import child_seed, ordered_map
 from .trajectory import (
     ActionProblem,
     FixedStart,
@@ -121,10 +121,14 @@ def is_bad(
 ):
     """Two-sided branch-selection detector.
 
-    True iff M*(mT) has >= 2 elements and the perturbed endpoints
-    mT + delta 2^-n and mT - delta 2^-n (n = 0..n_levels-1) select single
-    minimizers converging to two distinct elements of M* separated by more
-    than epsilon.  Always returns (flag, diagnostics).
+    The perturbed endpoints mT + delta 2^-n and mT - delta 2^-n are solved
+    for every level n = 0..n_levels-1, and the start of each global
+    minimizer is recorded in diagnostics["plus_branch"] and
+    ["minus_branch"].  Only the last level enters the verdict: True iff
+    M*(mT) has >= 2 elements, the two last-level selections are nearest to
+    two distinct elements of M*, and they are more than epsilon apart.  The
+    earlier levels are not checked for convergence.  Always returns
+    (flag, diagnostics).
     """
     model = model if model is not None else mag_model()
     if minimizers is None:
@@ -259,7 +263,7 @@ def _scan_cell(args):
             bad=False, label="", d_nature=math.nan, d_nurture=math.nan,
             error=type(exc).__name__,
         )
-    return index, cell
+    return cell
 
 
 def badness_scan(
@@ -291,15 +295,7 @@ def badness_scan(
             jobs.append((I_kind, tuple(I_params), float(T), float(mT),
                          epsilon, delta, opts_dict, master_seed, idx))
             idx += 1
-    if workers > 1 and len(jobs) > 1:
-        import multiprocessing as mp
-
-        with mp.get_context("fork").Pool(workers) as pool:
-            results = pool.map(_scan_cell, jobs)
-    else:
-        results = [_scan_cell(j) for j in jobs]
-    results.sort(key=lambda r: r[0])
-    cells = tuple(c for _, c in results)
+    cells = tuple(ordered_map(_scan_cell, jobs, workers))
     out = BadnessScanResult(kind=I_kind, params=tuple(I_params), cells=cells)
     if csv_path is not None:
         out.write_csv(csv_path)

@@ -223,6 +223,8 @@ def cmd_lattice_sim(cfg, out_dir, workers):
     seed = _need_seed(cfg)
     dim = int(_need_number(cfg, "dim", lo=1, hi=2))
     side = int(_need_number(cfg, "side", lo=3))
+    if side % 2 == 0:
+        raise ConfigError(f"side: must be odd (torus of side 2N+1), got {side}")
     rates = _rates_from_config(_need(cfg, "rates", dict))
     times = sorted(_grid(_need(cfg, "times", (list, dict)), "times"))
     replicas = int(_need_number(cfg, "replicas", lo=1))

@@ -121,19 +121,6 @@ def evaluate_translations(f: CoefficientMap, spins: np.ndarray) -> np.ndarray:
     return out
 
 
-def evaluate_at_origin(f: CoefficientMap, spins: np.ndarray) -> float:
-    """f(s) itself, reading offsets modulo the torus."""
-    side = spins.shape[0]
-    total = 0.0
-    for key, coef in f.terms.items():
-        prod = 1.0
-        for o in key:
-            idx = tuple(x % side for x in o)
-            prod *= float(spins[idx])
-        total += coef * prod
-    return total
-
-
 def empirical_average(f: CoefficientMap, spins: np.ndarray) -> float:
     """<f, L_N(s)>: the translation average of f.
 

@@ -24,7 +24,7 @@ from .coefficients import (
     empirical_average,
     evaluate_translations,
 )
-from .seeding import rng_from
+from .seeding import ordered_map, rng_from
 from .errors import EmptyCell
 from .kernels import get_impl
 
@@ -434,7 +434,7 @@ def _moment_worker(args):
         for oi, offsets in enumerate(obs_offsets):
             f = CoefficientMap.basis(dim, offsets)
             row[ti, oi] = empirical_average(f, snap.values)
-    return replica, row
+    return row
 
 
 def moment_series(
@@ -457,12 +457,4 @@ def moment_series(
          master_seed, r)
         for r in range(replicas)
     ]
-    if workers > 1:
-        import multiprocessing as mp
-
-        with mp.get_context("fork").Pool(workers) as pool:
-            results = pool.map(_moment_worker, jobs)
-    else:
-        results = [_moment_worker(j) for j in jobs]
-    results.sort(key=lambda x: x[0])
-    return np.stack([r[1] for r in results], axis=0)
+    return np.stack(ordered_map(_moment_worker, jobs, workers), axis=0)

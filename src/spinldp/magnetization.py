@@ -75,30 +75,38 @@ def mag_lagrangian(m: float, q: float) -> float:
     return float(mag_lagrangian_vec(np.asarray(m, float), np.asarray(q, float)))
 
 
-def mag_lagrangian_vec(m, q):
-    """Vectorized closed form, stable on both velocity signs.
+def _ratio_log(m, q):
+    """Broadcast (m, q), R = sqrt(q^2 + 4(1-m^2)), the ratio u = e^{2 p*}
+    and log u, the one branch shared by the value and both partials.
 
     For q >= 0 the direct ratio (q+R)/(2(1-m)) is cancellation-free; for
     q < 0 the equivalent ratio 2(1+m)/(R-q) is used, which also produces the
-    correct one-sided limits at m = +-1.
+    correct one-sided limits at m = +-1.  Call it under
+    np.errstate(divide="ignore", invalid="ignore").
     """
-    m = np.asarray(m, dtype=float)
-    q = np.asarray(q, dtype=float)
-    m, q = np.broadcast_arrays(m, q)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.sqrt(q * q + 4.0 * (1.0 - m * m))
-        ratio_pos = (q + r) / (2.0 * (1.0 - m))
-        ratio_neg = (2.0 * (1.0 + m)) / (r - q)
-        log_ratio = np.where(q >= 0, np.log(ratio_pos), np.log(ratio_neg))
-        val = 0.5 * q * log_ratio - 0.5 * r + 1.0
-        # q = 0 and boundary corner cases: vanishing velocity costs 1 - sqrt(1-m^2)
-        val = np.where(q == 0, 1.0 - np.sqrt(np.maximum(1.0 - m * m, 0.0)), val)
+    m, q = np.broadcast_arrays(np.asarray(m, dtype=float), np.asarray(q, dtype=float))
+    r = np.sqrt(q * q + 4.0 * (1.0 - m * m))
+    u = np.where(q >= 0, (q + r) / (2.0 * (1.0 - m)), (2.0 * (1.0 + m)) / (r - q))
+    return m, q, r, u, np.log(u)
+
+
+def _lagrangian_value(m, q, r, log_u):
+    val = 0.5 * q * log_u - 0.5 * r + 1.0
+    # q = 0 and boundary corner cases: vanishing velocity costs 1 - sqrt(1-m^2)
+    val = np.where(q == 0, 1.0 - np.sqrt(np.maximum(1.0 - m * m, 0.0)), val)
     # infeasible: moving up at m=1 or down at m=-1 (log ratio diverges with q*log -> +inf)
     val = np.where((m >= 1.0) & (q > 0), np.inf, val)
     val = np.where((m <= -1.0) & (q < 0), np.inf, val)
     # outside the state interval there is no process at all
     val = np.where(np.abs(m) > 1.0, np.inf, val)
-    val = np.where(np.isnan(val), np.inf, val)
+    return np.where(np.isnan(val), np.inf, val)
+
+
+def mag_lagrangian_vec(m, q):
+    """Vectorized closed form, stable on both velocity signs (see _ratio_log)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m, q, r, _, log_u = _ratio_log(m, q)
+        val = _lagrangian_value(m, q, r, log_u)
     if val.ndim == 0:
         return float(val)
     return val
@@ -106,23 +114,8 @@ def mag_lagrangian_vec(m, q):
 
 def mag_momentum(m, q):
     """dL/dq: the optimal conjugate momentum p*(m, q) = (1/2) log ratio."""
-    m = np.asarray(m, dtype=float)
-    q = np.asarray(q, dtype=float)
-    m, q = np.broadcast_arrays(m, q)
     with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.sqrt(q * q + 4.0 * (1.0 - m * m))
-        log_ratio = np.where(
-            q >= 0,
-            np.log((q + r) / (2.0 * (1.0 - m))),
-            np.log((2.0 * (1.0 + m)) / (r - q)),
-        )
-    return 0.5 * log_ratio
-
-
-def mag_dl_dm(m, q):
-    """dL/dm = sinh(2 p*) by the envelope identity."""
-    p = mag_momentum(m, q)
-    return np.sinh(2.0 * p)
+        return 0.5 * _ratio_log(m, q)[4]
 
 
 def mag_hamilton_rhs(m: float, p: float) -> tuple[float, float]:
@@ -272,23 +265,11 @@ def mag_value_and_partials(m, q):
     """(L, dL/dm, dL/dv) in one pass, sharing the square root and the ratio.
 
     With u = e^{2 p*}: dL/dv = p* = log(u)/2 and dL/dm = sinh(2 p*)
-    = (u - 1/u)/2.
+    = (u - 1/u)/2 by the envelope identity.
     """
-    m = np.asarray(m, dtype=float)
-    q = np.asarray(q, dtype=float)
-    m, q = np.broadcast_arrays(m, q)
     with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.sqrt(q * q + 4.0 * (1.0 - m * m))
-        u = np.where(q >= 0, (q + r) / (2.0 * (1.0 - m)), (2.0 * (1.0 + m)) / (r - q))
-        log_u = np.log(u)
-        val = 0.5 * q * log_u - 0.5 * r + 1.0
-        val = np.where(q == 0, 1.0 - np.sqrt(np.maximum(1.0 - m * m, 0.0)), val)
-        lx = 0.5 * (u - 1.0 / u)
-    val = np.where((m >= 1.0) & (q > 0), np.inf, val)
-    val = np.where((m <= -1.0) & (q < 0), np.inf, val)
-    val = np.where(np.abs(m) > 1.0, np.inf, val)
-    val = np.where(np.isnan(val), np.inf, val)
-    return val, lx, 0.5 * log_u
+        m, q, r, u, log_u = _ratio_log(m, q)
+        return _lagrangian_value(m, q, r, log_u), 0.5 * (u - 1.0 / u), 0.5 * log_u
 
 
 def mag_model():
@@ -296,9 +277,6 @@ def mag_model():
     from .trajectory import LagrangianModel
 
     return LagrangianModel(
-        lagrangian=lambda x, v: mag_lagrangian_vec(x, v),
-        dl_dx=lambda x, v: mag_dl_dm(x, v),
-        dl_dv=lambda x, v: mag_momentum(x, v),
         value_and_partials=mag_value_and_partials,
         domain=(-1.0, 1.0),
         flow=lambda x, dt: x * np.exp(-2.0 * dt),

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .io_utils import write_csv
-from .seeding import rng_from
+from .seeding import ordered_map, rng_from
 
 __all__ = [
     "PoissonWalkParams",
@@ -119,8 +119,8 @@ def pw_simulate(params: PoissonWalkParams, T: float, seed, x0: float = 0.0) -> P
 
 def _pw_replica(args):
     b, d, N, T, master_seed, r = args
-    return r, pw_simulate(PoissonWalkParams(b, d, N), T,
-                          np.random.SeedSequence([int(master_seed), int(r)]))
+    return pw_simulate(PoissonWalkParams(b, d, N), T,
+                       np.random.SeedSequence([int(master_seed), int(r)]))
 
 
 def pw_simulate_many(
@@ -129,15 +129,7 @@ def pw_simulate_many(
     """Independent replicas; stream r is seeded by (master_seed, r), so the
     result is identical at any worker count."""
     jobs = [(params.b, params.d, params.N, T, master_seed, r) for r in range(replicas)]
-    if workers > 1 and replicas > 1:
-        import multiprocessing as mp
-
-        with mp.get_context("fork").Pool(workers) as pool:
-            results = pool.map(_pw_replica, jobs)
-    else:
-        results = [_pw_replica(j) for j in jobs]
-    results.sort(key=lambda x: x[0])
-    return [p for _, p in results]
+    return ordered_map(_pw_replica, jobs, workers)
 
 
 def pw_exact_log_prob(params: PoissonWalkParams, t: float, k: int) -> float:
@@ -212,17 +204,25 @@ def pw_rate_convergence(
     return rows
 
 
+def _pw_value_and_log_u(v, b, d):
+    """Vectorized (L(v), log u) with log u = dL/dv, the optimal tilt.
+
+    For d = 0 the cost is +inf below zero velocity and dL/dv is -inf at and
+    below it.
+    """
+    v = np.asarray(v, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if d == 0.0:
+            log_u = np.where(v > 0, np.log(np.where(v > 0, v / b, 1.0)), -np.inf)
+            return np.where(v < 0, np.inf, np.where(v == 0, b, v * log_u - v + b)), log_u
+        r = np.sqrt(v * v + 4.0 * b * d)
+        log_u = np.where(v >= 0, np.log((np.abs(v) + r) / (2.0 * b)), -np.log((np.abs(v) + r) / (2.0 * d)))
+        return v * log_u - r + b + d, log_u
+
+
 def pw_lagrangian_vec(v, params: PoissonWalkParams):
     """Vectorized pw_lagrangian over a velocity array."""
-    b, d = params.b, params.d
-    v = np.asarray(v, dtype=float)
-    if d == 0.0:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            pos = v * np.log(np.where(v > 0, v / b, 1.0)) - v + b
-        return np.where(v < 0, np.inf, np.where(v == 0, b, pos))
-    r = np.sqrt(v * v + 4.0 * b * d)
-    log_u = np.where(v >= 0, np.log((np.abs(v) + r) / (2.0 * b)), -np.log((np.abs(v) + r) / (2.0 * d)))
-    return v * log_u - r + b + d
+    return _pw_value_and_log_u(v, params.b, params.d)[0]
 
 
 def pw_model(params: PoissonWalkParams):
@@ -231,25 +231,13 @@ def pw_model(params: PoissonWalkParams):
 
     b, d = params.b, params.d
 
-    def lag(x, v):
+    def value_and_partials(x, v):
         x, v = np.broadcast_arrays(np.asarray(x, float), np.asarray(v, float))
-        return pw_lagrangian_vec(v, params)
-
-    def dl_dv(x, v):
-        v = np.asarray(v, float)
-        r = np.sqrt(v * v + 4.0 * b * d)
-        if d == 0.0:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                return np.where(v > 0, np.log(np.where(v > 0, v / b, 1.0)), -np.inf)
-        return np.where(v >= 0, np.log((np.abs(v) + r) / (2.0 * b)), -np.log((np.abs(v) + r) / (2.0 * d)))
-
-    def dl_dx(x, v):
-        return np.zeros_like(np.broadcast_arrays(np.asarray(x, float), np.asarray(v, float))[0])
+        val, log_u = _pw_value_and_log_u(v, b, d)
+        return val, np.zeros_like(val), log_u
 
     return LagrangianModel(
-        lagrangian=lag,
-        dl_dx=dl_dx,
-        dl_dv=dl_dv,
+        value_and_partials=value_and_partials,
         domain=(-math.inf, math.inf),
         flow=lambda x, dt: x + (b - d) * dt,
         drift=lambda x: np.full_like(np.asarray(x, float), b - d),

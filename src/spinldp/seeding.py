@@ -24,3 +24,18 @@ def child_seed(master, index: int) -> np.random.SeedSequence:
 def derived_int(master, index: int) -> int:
     """Stable 64-bit integer sub-seed for surfaces that want plain ints."""
     return int(child_seed(master, index).generate_state(1, np.uint64)[0])
+
+
+def ordered_map(fn, jobs: list, workers: int = 1) -> list:
+    """[fn(job) for job in jobs], spread over a fork pool when workers > 1.
+
+    Pool.map returns results in job order, so with jobs seeded by their
+    index the result is the same at any worker count.  fn must be a
+    module-level function (it is pickled by name).
+    """
+    if workers > 1 and len(jobs) > 1:
+        import multiprocessing as mp
+
+        with mp.get_context("fork").Pool(workers) as pool:
+            return pool.map(fn, jobs)
+    return [fn(job) for job in jobs]

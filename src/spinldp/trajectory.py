@@ -13,7 +13,9 @@ backtracking; candidate steps with infinite integrands are rejected, never
 averaged, so domain boundaries act as hard feasibility walls.  Plain
 gradient descent (the first cut) stalls on fine grids because the discrete
 Hessian conditioning grows like steps^2; CG keeps the same first-order,
-line-searched structure and converges in O(steps) iterations.
+line-searched structure and converges in O(steps) iterations.  A fixed
+start is solved as the open-start problem with its first node pinned and
+no static cost, so both entry points share one objective and one solve loop.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .seeding import rng_from
-from .errors import DomainExit, NoFeasiblePath
+from .errors import DomainExit, NoFeasiblePath, PathLeavesDomain
 
 __all__ = [
     "TrajectoryGrid",
@@ -66,17 +68,15 @@ class TrajectoryGrid:
 
 @dataclass(frozen=True)
 class LagrangianModel:
-    """Scalar-state model: vectorized Lagrangian, optional analytic partials.
+    """Scalar-state model with one vectorized evaluator.
 
-    lagrangian(x, v) may return +inf for infeasible velocities.  flow(x, dt)
+    value_and_partials(x, v) returns (L, dL/dx, dL/dv) as arrays of the
+    broadcast shape; L may be +inf for infeasible velocities.  flow(x, dt)
     is the deterministic zero-cost evolution (negative dt runs it backward),
     used only to seed multi-start profiles.
     """
 
-    lagrangian: Callable
-    dl_dx: Optional[Callable] = None
-    dl_dv: Optional[Callable] = None
-    value_and_partials: Optional[Callable] = None
+    value_and_partials: Callable
     domain: tuple[float, float] = (-math.inf, math.inf)
     flow: Optional[Callable] = None
     drift: Optional[Callable] = None
@@ -114,54 +114,19 @@ class ActionProblem:
             probe_lo = max(lo, -1.0) if math.isfinite(lo) else -1.0
             probe_hi = min(hi, 1.0) if math.isfinite(hi) else 1.0
             xs = np.linspace(probe_lo + 1e-6, probe_hi - 1e-6, 7)
-            cost = np.asarray(self.model.lagrangian(xs, self.model.drift(xs)))
+            cost = np.asarray(self.model.value_and_partials(xs, self.model.drift(xs))[0])
             if np.any(cost < -1e-9):
                 raise ValueError("Lagrangian negative along the drift")
 
 
-def action_integral(lagrangian, traj: TrajectoryGrid) -> float:
+def action_integral(model: LagrangianModel, traj: TrajectoryGrid) -> float:
     """Composite quadrature of L along the grid; +inf if any integrand is."""
-    lag = lagrangian.lagrangian if isinstance(lagrangian, LagrangianModel) else lagrangian
     x = traj.values[:-1]
     v = np.diff(traj.values) / traj.dt
-    integrand = np.asarray(lag(x, v), dtype=float)
+    integrand = np.asarray(model.value_and_partials(x, v)[0], dtype=float)
     if np.any(np.isinf(integrand)) or np.any(np.isnan(integrand)):
         return math.inf
     return float(traj.dt * np.sum(integrand))
-
-
-def _partials(model: LagrangianModel):
-    """Analytic partials when available, vectorized central differences otherwise."""
-    lag = model.lagrangian
-    if model.dl_dx is not None and model.dl_dv is not None:
-        return model.dl_dx, model.dl_dv
-
-    def fd_dx(x, v):
-        h = 1e-6 * (1.0 + np.abs(x))
-        return (lag(x + h, v) - lag(x - h, v)) / (2.0 * h)
-
-    def fd_dv(x, v):
-        h = 1e-6 * (1.0 + np.abs(v))
-        return (lag(x, v + h) - lag(x, v - h)) / (2.0 * h)
-
-    return fd_dx, fd_dv
-
-
-def _fused_evaluator(model: LagrangianModel):
-    """(x, v) -> (L, dL/dx, dL/dv) in one call."""
-    if model.value_and_partials is not None:
-        return model.value_and_partials
-    lag = model.lagrangian
-    dl_dx, dl_dv = _partials(model)
-
-    def fused(x, v):
-        return (
-            np.asarray(lag(x, v), dtype=float),
-            np.asarray(dl_dx(x, v), dtype=float),
-            np.asarray(dl_dv(x, v), dtype=float),
-        )
-
-    return fused
 
 
 def _line_search(fun_grad, x, f, g, d, gTd, a_init):
@@ -261,40 +226,132 @@ def _clip_domain(vals, domain, margin=1e-9):
     return np.clip(vals, lo, hi)
 
 
-def _smooth_jitter(n, scale, rng):
-    noise = np.cumsum(rng.standard_normal(n + 1))
-    noise -= np.linspace(noise[0], noise[-1], n + 1)
+def _pinned(profile, domain, start, end):
+    """The profile clipped into the domain, with its end nodes set to start and end."""
+    p = _clip_domain(np.asarray(profile, float), domain)
+    p[0], p[-1] = start, end
+    return p
+
+
+def _jitter(base, domain, rng):
+    """base plus a smooth random bump that vanishes at both ends.
+
+    The bump peaks at 5% of the domain span (0.05 on an unbounded domain).
+    """
+    lo, hi = domain
+    span = hi - lo if math.isfinite(lo) and math.isfinite(hi) else 1.0
+    noise = np.cumsum(rng.standard_normal(len(base)))
+    noise -= np.linspace(noise[0], noise[-1], len(base))
     peak = np.max(np.abs(noise))
-    return noise * (scale / peak) if peak > 0 else noise
+    return base + (noise * (0.05 * span / peak) if peak > 0 else noise)
 
 
-def _start_profiles(model, m0, mT, T, steps, rng, n_jitter=3):
-    """Multi-start seeds: linear, drift-then-steer, steer-then-drift, jitters."""
+def _drift_then_steer(model, start, end, t, T):
+    """Ride the zero-cost flow from start for 70% of the horizon, then ramp into end."""
+    switch = 0.7 * T
+    drift_part = np.asarray(model.flow(start, np.minimum(t, switch)))
+    ramp = np.where(t > switch, (t - switch) / (T - switch), 0.0)
+    return drift_part * (1 - ramp) + end * ramp
+
+
+def _start_profiles(model, start, mT, T, steps, rng):
+    """Multi-start seeds, each clipped into the domain and pinned at both ends.
+
+    Fixed start m0: linear, drift-then-steer, steer-then-drift, three
+    jitters of the linear profile, and the closed-form extremal when the
+    model has one inside the domain.  Open start: one drift-then-steer
+    profile per start candidate (the minimizers of I, the zero-cost preimage
+    of mT, mT itself), a linear profile for the first two, and one jitter of
+    the first profile: the badness scans need the coexisting basins found,
+    not an exhaustive profile sweep per basin.
+    """
     t = np.linspace(0.0, T, steps + 1)
-    profiles = [np.linspace(m0, mT, steps + 1)]
-    if model.flow is not None:
-        switch = 0.7 * T
-        drift_part = np.asarray(model.flow(m0, np.minimum(t, switch)))
-        anchor = float(model.flow(m0, switch))
-        ramp = np.where(t > switch, (t - switch) / (T - switch), 0.0)
-        profiles.append(drift_part * (1 - ramp) + mT * ramp)
+    domain = model.domain
+    if isinstance(start, FixedStart):
+        m0 = start.m0
+        raw = [np.linspace(m0, mT, steps + 1)]
+        if model.flow is not None:
+            raw.append(_drift_then_steer(model, m0, mT, t, T))
+            z = float(np.clip(model.flow(mT, -(0.7 * T)), *domain))
+            arrive = np.asarray(model.flow(z, np.maximum(t - 0.3 * T, 0.0)))
+            ramp0 = np.where(t < 0.3 * T, 1.0 - t / (0.3 * T), 0.0)
+            raw.append(m0 * ramp0 + arrive * (1 - ramp0))
+        raw += [_jitter(raw[0], domain, rng) for _ in range(3)]
+        if model.extremal is not None:
+            try:
+                raw.append(model.extremal(m0, mT, T)[2](t))
+            except PathLeavesDomain:
+                pass
+        return [_pinned(p, domain, m0, mT) for p in raw]
 
-        z = float(np.clip(model.flow(mT, -(0.7 * T)), *model.domain))
-        arrive = np.asarray(model.flow(z, np.maximum(t - 0.3 * T, 0.0)))
-        ramp0 = np.where(t < 0.3 * T, 1.0 - t / (0.3 * T), 0.0)
-        profiles.append(m0 * ramp0 + arrive * (1 - ramp0))
-    span = 1.0
-    if math.isfinite(model.domain[0]) and math.isfinite(model.domain[1]):
-        span = model.domain[1] - model.domain[0]
-    base = profiles[0]
-    for _ in range(n_jitter):
-        profiles.append(base + _smooth_jitter(steps, 0.05 * span, rng))
+    rate = start.rate_function
+    g0_candidates = list(getattr(rate, "minimizers", ()) or ())
+    if model.flow is not None:
+        g0_candidates.append(float(np.clip(model.flow(mT, -T), *domain)))
+    g0_candidates.append(mT)
+    starts = []
+    for g in g0_candidates:
+        g = float(_clip_domain(np.asarray(g), domain))
+        if all(abs(g - h) > 1e-9 for h in starts):
+            starts.append(g)
     out = []
-    for p in profiles:
-        p = _clip_domain(np.asarray(p, float), model.domain)
-        p[0], p[-1] = m0, mT
-        out.append(p)
+    for i, g0 in enumerate(starts):
+        linear = np.linspace(g0, mT, steps + 1)
+        first = _drift_then_steer(model, g0, mT, t, T) if model.flow is not None else linear
+        out.append(_pinned(first, domain, g0, mT))
+        if i < 2:
+            out.append(_pinned(linear, domain, g0, mT))
+    out.append(_pinned(_jitter(out[0], domain, rng), domain, starts[0], mT))
     return out
+
+
+def _objective(value_and_partials, dt, mT, head, rate):
+    """fun_grad(z) -> (value, gradient) over the free nodes z of a path ending at mT.
+
+    The path is head + z + [mT].  A fixed start passes head = [m0], a pinned
+    first node, and rate = None.  An open start passes an empty head, so z
+    starts with the free first node, whose static cost rate.evaluator is
+    added to the action.  Any infinite integrand makes the value +inf.
+    """
+    head = np.asarray(head, dtype=float)
+
+    def fun_grad(z):
+        full = np.concatenate([head, z, [mT]])
+        integ, gx, gv = value_and_partials(full[:-1], np.diff(full) / dt)
+        i0 = 0.0 if rate is None else float(rate.evaluator(full[0]))
+        if np.any(np.isinf(integ)) or np.any(np.isnan(integ)) or math.isinf(i0):
+            return math.inf, np.zeros_like(z)
+        action = float(dt * np.sum(integ))
+        grad = dt * gx[1:] + gv[:-1] - gv[1:]
+        if rate is None:
+            return action, grad
+        node0 = float(rate.derivative(full[0])) + dt * gx[0] - gv[0]
+        return i0 + action, np.concatenate([[node0], grad])
+
+    return fun_grad
+
+
+def _minimize(problem: ActionProblem, steps, seed, max_iter, gtol):
+    """Multi-start CG solve shared by the fixed and the open start.
+
+    A fixed start is the open problem with its first node pinned to m0 and
+    no static cost.  Returns [(path values, value)] for every start profile
+    with finite action, in profile order.
+    """
+    model, start, mT, T = problem.model, problem.start, problem.end, problem.horizon
+    if isinstance(start, FixedStart):
+        head, rate = [start.m0], None
+    else:
+        head, rate = [], start.rate_function
+    fun_grad = _objective(model.value_and_partials, T / steps, mT, head, rate)
+    found = []
+    for cand in _start_profiles(model, start, mT, T, steps, rng_from(seed)):
+        res = _cg_minimize(fun_grad, cand[len(head):-1], max_iter=max_iter, gtol=gtol)
+        if res is not None:
+            found.append((np.concatenate([head, res[0], [mT]]), res[1]))
+    if not found:
+        raise NoFeasiblePath("every start profile has infinite action")
+    return found
 
 
 def minimize_action_fixed(
@@ -311,42 +368,8 @@ def minimize_action_fixed(
     """
     if not isinstance(problem.start, FixedStart):
         raise ValueError("minimize_action_fixed needs a FixedStart problem")
-    model = problem.model
-    m0, mT, T = problem.start.m0, problem.end, problem.horizon
-    dt = T / steps
-    fused = _fused_evaluator(model)
-
-    def fun_grad(interior):
-        full = np.concatenate([[m0], interior, [mT]])
-        v = np.diff(full) / dt
-        x = full[:-1]
-        integ, gx, gv = fused(x, v)
-        if np.any(np.isinf(integ)) or np.any(np.isnan(integ)):
-            return math.inf, np.zeros_like(interior)
-        grad = dt * gx[1:] + gv[:-1] - gv[1:]
-        return float(dt * np.sum(integ)), grad
-
-    rng = rng_from(seed)
-    candidates = _start_profiles(model, m0, mT, T, steps, rng)
-    if model.extremal is not None:
-        try:
-            _, _, path = model.extremal(m0, mT, T)
-            candidates.append(_clip_domain(path(np.linspace(0, T, steps + 1)), model.domain))
-        except Exception:
-            pass
-
-    best = None
-    for cand in candidates:
-        res = _cg_minimize(fun_grad, cand[1:-1], max_iter=max_iter, gtol=gtol)
-        if res is None:
-            continue
-        x, f = res
-        if best is None or f < best[1]:
-            best = (x, f)
-    if best is None:
-        raise NoFeasiblePath("every start profile has infinite action")
-    full = np.concatenate([[m0], best[0], [mT]])
-    return TrajectoryGrid(T=T, steps=steps, values=full), best[1]
+    path, value = min(_minimize(problem, steps, seed, max_iter, gtol), key=lambda r: r[1])
+    return TrajectoryGrid(T=problem.horizon, steps=steps, values=path), value
 
 
 @dataclass(frozen=True)
@@ -365,9 +388,8 @@ def _initial_momentum(model, traj):
     the match is exact up to dt*L_x (zero along drift segments) plus the
     solver's gradient tolerance.
     """
-    _, dl_dv = _partials(model)
     g = traj.values
-    return float(dl_dv(g[0], (g[1] - g[0]) / traj.dt))
+    return float(model.value_and_partials(g[0], (g[1] - g[0]) / traj.dt)[2])
 
 
 def minimize_action_open_start(
@@ -389,79 +411,16 @@ def minimize_action_open_start(
     """
     if not isinstance(problem.start, OpenStart):
         raise ValueError("minimize_action_open_start needs an OpenStart problem")
-    model = problem.model
-    rate = problem.start.rate_function
-    mT, T = problem.end, problem.horizon
+    T = problem.horizon
     if steps is None:
         steps = max(240, int(math.ceil(T / 0.005)))
-    dt = T / steps
-    fused = _fused_evaluator(model)
-
-    def fun_grad(z):
-        full = np.concatenate([z, [mT]])
-        v = np.diff(full) / dt
-        x = full[:-1]
-        integ, gx, gv = fused(x, v)
-        i0 = float(rate.evaluator(full[0]))
-        if np.any(np.isinf(integ)) or np.any(np.isnan(integ)) or math.isinf(i0):
-            return math.inf, np.zeros_like(z)
-        grad = np.empty_like(z)
-        grad[0] = float(rate.derivative(full[0])) + dt * gx[0] - gv[0]
-        grad[1:] = dt * gx[1:] + gv[:-1] - gv[1:]
-        return i0 + float(dt * np.sum(integ)), grad
-
-    rng = rng_from(seed)
-    g0_candidates = list(getattr(rate, "minimizers", ()) or ())
-    if model.flow is not None:
-        g0_candidates.append(float(np.clip(model.flow(mT, -T), *model.domain)))
-    g0_candidates.append(mT)
-    g0_candidates = [float(_clip_domain(np.asarray(g), model.domain)) for g in g0_candidates]
-    deduped = []
-    for g in g0_candidates:
-        if all(abs(g - h) > 1e-9 for h in deduped):
-            deduped.append(g)
-    g0_candidates = deduped
-
-    # one drift-then-steer profile per start candidate, a linear profile for
-    # the first two, and one jittered variant: the badness scans need the
-    # coexisting basins found, not an exhaustive profile sweep per basin
-    candidates = []
-    t_nodes = np.linspace(0.0, T, steps + 1)
-    for i, g0 in enumerate(g0_candidates):
-        if model.flow is not None:
-            switch = 0.7 * T
-            drift_part = np.asarray(model.flow(g0, np.minimum(t_nodes, switch)))
-            ramp = np.where(t_nodes > switch, (t_nodes - switch) / (T - switch), 0.0)
-            prof = drift_part * (1 - ramp) + mT * ramp
-        else:
-            prof = np.linspace(g0, mT, steps + 1)
-        prof = _clip_domain(prof, model.domain)
-        prof[0], prof[-1] = g0, mT
-        candidates.append(prof)
-        if i < 2:
-            lin = _clip_domain(np.linspace(g0, mT, steps + 1), model.domain)
-            lin[0], lin[-1] = g0, mT
-            candidates.append(lin)
-    span = 1.0
-    if math.isfinite(model.domain[0]) and math.isfinite(model.domain[1]):
-        span = model.domain[1] - model.domain[0]
-    jit = candidates[0] + _smooth_jitter(steps, 0.05 * span, rng)
-    jit = _clip_domain(jit, model.domain)
-    jit[-1] = mT
-    candidates.append(jit)
-
+    rate = problem.start.rate_function
     found = []
-    for cand in candidates:
-        res = _cg_minimize(fun_grad, cand[:-1], max_iter=max_iter, gtol=gtol)
-        if res is None:
-            continue
-        z, f = res
-        traj = TrajectoryGrid(T=T, steps=steps, values=np.concatenate([z, [mT]]))
-        p0 = _initial_momentum(model, traj)
-        resid = abs(p0 - float(rate.derivative(z[0])))
-        found.append(OpenMinimizer(float(z[0]), f, traj, p0, resid))
-    if not found:
-        raise NoFeasiblePath("every start profile has infinite action")
+    for path, value in _minimize(problem, steps, seed, max_iter, gtol):
+        traj = TrajectoryGrid(T=T, steps=steps, values=path)
+        p0 = _initial_momentum(problem.model, traj)
+        resid = abs(p0 - float(rate.derivative(path[0])))
+        found.append(OpenMinimizer(float(path[0]), value, traj, p0, resid))
 
     found.sort(key=lambda r: r.value)
     best = found[0]
@@ -474,15 +433,17 @@ def minimize_action_open_start(
     return best.traj, best.value, cluster
 
 
-def euler_lagrange_residual(lagrangian, traj: TrajectoryGrid) -> float:
+def euler_lagrange_residual(model: LagrangianModel, traj: TrajectoryGrid) -> float:
     """max_i |d/dt dL/dv - dL/dx| at interior nodes, all numerically.
 
     Velocities are centered differences; the L-derivatives are central
-    finite differences of the supplied Lagrangian (independent of any
-    analytic partials a model might carry); d/dt is a centered difference of
-    the nodewise dL/dv values.
+    finite differences of the model's values (independent of its analytic
+    partials); d/dt is a centered difference of the nodewise dL/dv values.
     """
-    lag = lagrangian.lagrangian if isinstance(lagrangian, LagrangianModel) else lagrangian
+
+    def lag(x, v):
+        return model.value_and_partials(x, v)[0]
+
     g = traj.values
     dt = traj.dt
     x = g[1:-1]

@@ -134,6 +134,17 @@ def test_lattice_sim_cli(tmp_path, capsys):
     assert len(snap) == 51
 
 
+def test_lattice_sim_even_side_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "seed": 3, "dim": 1, "side": 4,
+        "rates": {"kind": "constant", "dim": 1, "value": 1.0, "radius": 0},
+        "times": [0.2], "replicas": 2, "observables": [[[0]]],
+    }))
+    assert run(["lattice-sim", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
+    assert "side:" in capsys.readouterr().err
+
+
 def test_verify_subset_cli(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seed": 20260808, "criteria": [2, 3, 6, 8]}))

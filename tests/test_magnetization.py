@@ -21,6 +21,7 @@ from spinldp.magnetization import (
     mag_momentum,
     mag_value_and_partials,
 )
+from spinldp.poisson_walk import PoissonWalkParams, pw_model
 
 
 def test_hamiltonian_basics():
@@ -70,16 +71,34 @@ def test_lagrangian_nonnegative_zero_only_at_drift(m, q):
         assert val > 0.0
 
 
-def test_value_and_partials_consistent():
+@pytest.mark.parametrize("model, q", [
+    (mag_model(), np.linspace(-3, 3, 21)),
+    (pw_model(PoissonWalkParams(2.0, 1.0, 1)), np.linspace(-3, 3, 21)),
+    # without backward jumps only upward velocities are feasible
+    (pw_model(PoissonWalkParams(2.0, 0.0, 1)), np.linspace(0.1, 3, 21)),
+], ids=["mag", "pw", "pw_d0"])
+def test_value_and_partials_consistent(model, q):
+    # one evaluator: its partials must match central differences of its value
     m = np.linspace(-0.95, 0.95, 21)
-    q = np.linspace(-3, 3, 21)
-    val, lx, lv = mag_value_and_partials(m, q)
-    assert np.allclose(val, mag_lagrangian_vec(m, q))
+    val, lx, lv = model.value_and_partials(m, q)
+
+    def value(x, v):
+        return model.value_and_partials(x, v)[0]
+
     h = 1e-6
-    fd_x = (mag_lagrangian_vec(m + h, q) - mag_lagrangian_vec(m - h, q)) / (2 * h)
-    fd_v = (mag_lagrangian_vec(m, q + h) - mag_lagrangian_vec(m, q - h)) / (2 * h)
+    fd_x = (value(m + h, q) - value(m - h, q)) / (2 * h)
+    fd_v = (value(m, q + h) - value(m, q - h)) / (2 * h)
+    assert np.all(np.isfinite(val))
     assert np.max(np.abs(lx - fd_x)) <= 1e-6
     assert np.max(np.abs(lv - fd_v)) <= 1e-6
+
+
+def test_mag_evaluator_matches_public_functions():
+    m = np.linspace(-0.95, 0.95, 21)
+    q = np.linspace(-3, 3, 21)
+    val, _, lv = mag_value_and_partials(m, q)
+    assert np.array_equal(val, mag_lagrangian_vec(m, q))
+    assert np.array_equal(lv, mag_momentum(m, q))
 
 
 def test_hamilton_rhs_reference():

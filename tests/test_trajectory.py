@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from spinldp.errors import DomainExit, NoFeasiblePath
+from spinldp.errors import DomainExit, NoFeasiblePath, PathLeavesDomain
 from spinldp.magnetization import (
     mag_extremal,
     mag_hamilton_rhs,
@@ -29,13 +30,12 @@ MODEL = mag_model()
 
 
 def quad_model():
-    def bc(x, v):
-        return np.broadcast_arrays(np.asarray(x, float), np.asarray(v, float))
+    def value_and_partials(x, v):
+        x, v = np.broadcast_arrays(np.asarray(x, float), np.asarray(v, float))
+        return v**2 / 2, np.zeros_like(x), v
 
     return LagrangianModel(
-        lagrangian=lambda x, v: bc(x, v)[1] ** 2 / 2,
-        dl_dx=lambda x, v: np.zeros_like(bc(x, v)[0]),
-        dl_dv=lambda x, v: bc(x, v)[1],
+        value_and_partials=value_and_partials,
         domain=(-math.inf, math.inf),
         flow=lambda x, dt: x,
         drift=lambda x: np.zeros_like(np.asarray(x, float)),
@@ -115,6 +115,25 @@ def test_minimize_fixed_no_feasible_path():
     problem = ActionProblem(model, FixedStart(1.0), 0.0, 1.0)  # must move down: impossible
     with pytest.raises(NoFeasiblePath):
         minimize_action_fixed(problem, steps=50, seed=0)
+
+
+def _with_failing_extremal(error):
+    def extremal(m0, mT, T):
+        raise error("no closed form here")
+
+    model = dataclasses.replace(MODEL, extremal=extremal)
+    return ActionProblem(model, FixedStart(0.5), 0.0, 1.0)
+
+
+def test_minimize_fixed_skips_extremal_leaving_domain():
+    _, val = minimize_action_fixed(_with_failing_extremal(PathLeavesDomain), steps=50, seed=0)
+    assert math.isfinite(val)
+
+
+def test_minimize_fixed_extremal_errors_propagate():
+    # only PathLeavesDomain means "no closed-form candidate"; other errors surface
+    with pytest.raises(ZeroDivisionError):
+        minimize_action_fixed(_with_failing_extremal(ZeroDivisionError), steps=50, seed=0)
 
 
 def test_minimize_fixed_grid_refinement_cauchy():
