@@ -9,7 +9,7 @@ Modules:
   rate_functions static initial rate functions (bernoulli, double well)
   badness        non-unique optimal histories and nature/nurture labels
   lattice        exact torus dynamics, operator algebra, empirical measures
-  kernels        compiled/pure event-loop selection
+  kernels        the exact lattice event kernel (composition-rejection)
   cli            JSON-configured experiment commands
 """
 

@@ -65,6 +65,13 @@ def _need_seed(cfg):
     return int(_need(cfg, "seed", (int,)))
 
 
+def _odd_side(v, where):
+    """A torus side from the config: an odd integer >= 3 (side 2N+1)."""
+    if not isinstance(v, (int, float)) or v < 3 or v % 2 != 1:
+        raise ConfigError(f"{where}: must be an odd integer >= 3 (torus of side 2N+1), got {v!r}")
+    return int(v)
+
+
 def _grid(spec, where):
     """Either an explicit list or {start, stop, num[, log]}"""
     if isinstance(spec, list):
@@ -222,11 +229,11 @@ def cmd_scan_bad(cfg, out_dir, workers):
 def cmd_lattice_sim(cfg, out_dir, workers):
     seed = _need_seed(cfg)
     dim = int(_need_number(cfg, "dim", lo=1, hi=2))
-    side = int(_need_number(cfg, "side", lo=3))
-    if side % 2 == 0:
-        raise ConfigError(f"side: must be odd (torus of side 2N+1), got {side}")
+    side = _odd_side(_need(cfg, "side", (int, float)), "side")
     rates = _rates_from_config(_need(cfg, "rates", dict))
     times = sorted(_grid(_need(cfg, "times", (list, dict)), "times"))
+    if not times or times[0] < 0:
+        raise ConfigError(f"times: need at least one checkpoint, all >= 0, got {times}")
     replicas = int(_need_number(cfg, "replicas", lo=1))
     obs = _need(cfg, "observables", list)
     obs_offsets = [[tuple(int(x) for x in o) for o in A] for A in obs]
@@ -262,7 +269,7 @@ def cmd_lattice_check(cfg, out_dir, workers):
     if "instances" in cfg:
         merged["c5_instances"] = int(_need_number(cfg, "instances", lo=1))
     if "sides" in cfg:
-        merged["c6_sides"] = [int(s) for s in _need(cfg, "sides", list)]
+        merged["c6_sides"] = [_odd_side(s, "sides") for s in _need(cfg, "sides", list)]
     r5 = criterion_5(merged)
     r6 = criterion_6(merged)
     out = {

@@ -4,10 +4,10 @@ Sites live on a d-dimensional torus of odd side 2N+1 (d = 1 or 2), spins
 are +-1, and flip rates are window tables: the rate of flipping site i is
 table[code of the (2r+1)^d pattern around i], which makes positivity and
 translation invariance structural.  Simulation is exact event-driven
-scheduling (exponential waiting time from the total rate, then a site drawn
-proportionally), with per-event rate updates confined to the affected
-window.  The inner loop runs in the compiled kernel when available and in
-the NumPy fallback otherwise; both produce bit-identical paths.
+scheduling: `kernels.run` draws candidate flips by composition-rejection
+over power-of-two rate bins, so an event costs O(window + bins) whatever the
+number of sites, and per-event rate updates stay confined to the affected
+window.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .coefficients import (
 )
 from .seeding import ordered_map, rng_from
 from .errors import EmptyCell
-from .kernels import get_impl
+from . import kernels
 
 __all__ = [
     "SpinConfiguration",
@@ -41,9 +41,6 @@ __all__ = [
     "nonlinear_generator_general",
     "moment_series",
 ]
-
-_BLOCK = 4096
-
 
 @dataclass(frozen=True)
 class SpinConfiguration:
@@ -122,8 +119,8 @@ class LocalRateSpec:
         t = np.ascontiguousarray(self.table, dtype=np.float64)
         if t.shape != (2**w,):
             raise ValueError(f"table must have 2^{w} entries")
-        if not np.all(t > 0):
-            raise ValueError("all rates must be strictly positive")
+        if not np.all(np.isfinite(t) & (t > 0)):
+            raise ValueError("all rates must be finite and strictly positive")
         object.__setattr__(self, "table", t)
 
     @property
@@ -209,7 +206,6 @@ def glauber_simulate(
     T: float,
     seed,
     record: bool = True,
-    force_pure: bool = False,
     _rng=None,
 ):
     """Exact event-driven run over [0, T]; returns (final config, EventLog)."""
@@ -217,34 +213,18 @@ def glauber_simulate(
         raise ValueError("rate spec dimension mismatch")
     if T < 0:
         raise ValueError("T must be >= 0")
-    impl = get_impl(force_pure=force_pure)
-    spins = config.values.copy().ravel()
-    codes = rates._codes(config).copy()
-    rate_arr = rates.table[codes].astype(np.float64)
-    affect = _site_index_arrays(config, rates)
-    rng = _rng if _rng is not None else rng_from(seed)
-    t = 0.0
-    all_times, all_sites = [], []
-    times_buf = np.empty(_BLOCK if record else 1, dtype=np.float64)
-    sites_buf = np.empty(_BLOCK if record else 1, dtype=np.int64)
+    codes = rates._codes(config)
+    times = np.empty(0)
+    sites = np.empty(0, dtype=np.int64)
     if T > 0:
-        while True:
-            u = rng.random(2 * _BLOCK)
-            t, used, nev, done = impl.run_block(
-                spins, codes, rate_arr, rates.table, affect, t, T, u,
-                times_buf, sites_buf, record,
-            )
-            if record and nev:
-                all_times.append(times_buf[:nev].copy())
-                all_sites.append(sites_buf[:nev].copy())
-            if done:
-                break
-    final = SpinConfiguration(config.dim, config.side, spins.reshape(config.values.shape))
-    log = EventLog(
-        times=np.concatenate(all_times) if all_times else np.empty(0),
-        sites=np.concatenate(all_sites) if all_sites else np.empty(0, dtype=np.int64),
-    )
-    return final, log
+        rng = _rng if _rng is not None else rng_from(seed)
+        codes, times, sites = kernels.run(
+            codes, _site_index_arrays(config, rates), rates.table, T, rng, record)
+    # a site's spin is the centre bit of its own window code
+    centre = rates.offsets.index((0,) * config.dim)
+    up = ((codes >> centre) & 1).reshape(config.values.shape)
+    final = SpinConfiguration(config.dim, config.side, np.where(up == 1, 1, -1))
+    return final, EventLog(times=times, sites=sites)
 
 
 def glauber_trajectory(
@@ -252,7 +232,6 @@ def glauber_trajectory(
     rates: LocalRateSpec,
     times: Sequence[float],
     seed,
-    force_pure: bool = False,
 ):
     """Configurations at the given increasing checkpoint times (one stream).
 
@@ -267,8 +246,7 @@ def glauber_trajectory(
         if t < t_prev:
             raise ValueError("times must be nondecreasing")
         current, _ = glauber_simulate(
-            current, rates, t - t_prev, seed=None, record=False,
-            force_pure=force_pure, _rng=rng,
+            current, rates, t - t_prev, seed=None, record=False, _rng=rng,
         )
         out.append(current)
         t_prev = t

@@ -137,11 +137,16 @@ def mag_hamilton_rhs(m: float, p: float) -> tuple[float, float]:
 def mag_extremal(m0: float, mT: float, T: float):
     """Two-exponential extremal m(t) = C1 e^{2t} + C2 e^{-2t} through (m0, mT).
 
-    Returns (C1, C2, evaluator).  Raises PathLeavesDomain if the path exits
-    [-1, 1] anywhere on [0, T].
+    Returns (C1, C2, evaluator).  Raises PathLeavesDomain if an endpoint lies
+    outside [-1, 1].  Between in-range endpoints the path never leaves the
+    domain: m'' = 4m, so an interior extremum of m is a minimum of |m|, and
+    |m(t)| <= max(|m0|, |mT|) on [0, T].
     """
     if not T > 0:
         raise ValueError("T must be > 0")
+    worst = max(abs(m0), abs(mT))
+    if worst > 1.0 + 1e-12:
+        raise PathLeavesDomain(f"extremal reaches |m| = {worst:.6g} > 1")
     e2t, em2t = math.exp(2.0 * T), math.exp(-2.0 * T)
     c1 = (mT - m0 * em2t) / (e2t - em2t)
     c2 = m0 - c1
@@ -150,14 +155,6 @@ def mag_extremal(m0: float, mT: float, T: float):
         t = np.asarray(t, dtype=float)
         return c1 * np.exp(2.0 * t) + c2 * np.exp(-2.0 * t)
 
-    # interior extremum at e^{4t*} = C2/C1 when both coefficients share a sign
-    worst = max(abs(m0), abs(mT))
-    if c1 != 0.0 and c2 != 0.0 and (c2 / c1) > 0.0:
-        tstar = 0.25 * math.log(c2 / c1)
-        if 0.0 < tstar < T:
-            worst = max(worst, abs(float(path(tstar))))
-    if worst > 1.0 + 1e-12:
-        raise PathLeavesDomain(f"extremal reaches |m| = {worst:.6g} > 1")
     return c1, c2, path
 
 

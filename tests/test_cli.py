@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from spinldp.cli import main
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -143,6 +145,26 @@ def test_lattice_sim_even_side_exits_2(tmp_path, capsys):
     }))
     assert run(["lattice-sim", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
     assert "side:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sides", [[4], [11, 20], [1]])
+def test_lattice_check_bad_sides_exit_2(tmp_path, capsys, sides):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 5, "instances": 2, "sides": sides}))
+    assert run(["lattice-check", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
+    assert "sides:" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "lattice_check.json").exists()
+
+
+def test_lattice_sim_negative_time_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "seed": 3, "dim": 1, "side": 21,
+        "rates": {"kind": "constant", "dim": 1, "value": 1.0, "radius": 0},
+        "times": [-0.5, 1.0], "replicas": 2, "observables": [[[0]]],
+    }))
+    assert run(["lattice-sim", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
+    assert "times:" in capsys.readouterr().err
 
 
 def test_verify_subset_cli(tmp_path, capsys):

@@ -1,45 +1,108 @@
-"""Compiled and pure event-loop kernels must be interchangeable bit for bit."""
+"""The lattice event kernel samples the exact jump law.
+
+From a fixed configuration the first flip happens after an Exp(R0) time,
+R0 = sum_i c_i, at a site of window class c with probability
+count_c * rate_c / R0.  Each test fixes its seeds up front; a failure is a
+defect, not a seed to change.
+"""
+
+import functools
+import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
-from spinldp.kernels import get_impl, using_compiled_core
 from spinldp.lattice import LocalRateSpec, SpinConfiguration, glauber_simulate
 
-needs_compiled = pytest.mark.skipif(
-    not using_compiled_core(), reason="compiled kernel not built"
-)
+ALPHA = 1e-3
+RUNS = 2000
 
 
-@needs_compiled
-@pytest.mark.parametrize(
-    "dim,side,radius,T",
-    [(1, 21, 1, 2.0), (1, 101, 0, 1.0), (2, 9, 1, 1.0), (2, 15, 1, 0.5)],
-)
-def test_compiled_and_pure_paths_identical(dim, side, radius, T):
-    cfg = SpinConfiguration.random(dim, side, seed=3)
-    rates = LocalRateSpec.random_table(dim, radius, seed=4)
-    final_c, log_c = glauber_simulate(cfg, rates, T, seed=42)
-    final_p, log_p = glauber_simulate(cfg, rates, T, seed=42, force_pure=True)
-    assert np.array_equal(final_c.values, final_p.values)
-    assert np.array_equal(log_c.times, log_p.times)
-    assert np.array_equal(log_c.sites, log_p.sites)
+def metropolis(beta: float) -> LocalRateSpec:
+    """Nearest-neighbour Ising Metropolis rates on the 3x3 window."""
+
+    def rate(pat):
+        field = pat[1] + pat[3] + pat[5] + pat[7]  # offsets (-1,0), (0,-1), (0,1), (1,0)
+        return min(1.0, math.exp(-2.0 * beta * pat[4] * field))
+
+    return LocalRateSpec.from_function(rate, 2, 1)
 
 
-@needs_compiled
-def test_flag_reports_compiled():
-    assert get_impl().COMPILED is True
-    assert get_impl(force_pure=True).COMPILED is False
+CASES = {
+    "random_2d_r1": (SpinConfiguration.random(2, 9, seed=21),
+                     LocalRateSpec.random_table(2, 1, seed=22), 31),
+    "metropolis_b1": (SpinConfiguration.random(2, 9, seed=23), metropolis(1.0), 32),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def first_events(case):
+    """(R0, first-event times, first-event window classes) over RUNS runs."""
+    config, rates, seed = CASES[case]
+    codes = rates._codes(config)
+    R0 = float(np.sum(rates.table[codes]))
+    times, classes = [], []
+    for ss in np.random.SeedSequence(seed).spawn(RUNS):
+        _, log = glauber_simulate(config, rates, 30.0 / R0, ss)
+        times.append(log.times[0])
+        classes.append(codes[log.sites[0]])
+    return R0, np.array(times), np.array(classes)
 
 
 def test_pure_kernel_runs_standalone():
+    for cfg, rates in ((SpinConfiguration.all_plus(1, 31), LocalRateSpec.constant(1.0, 1)),
+                       (SpinConfiguration.random(2, 7, seed=6),
+                        LocalRateSpec.random_table(2, 1, seed=8))):
+        final, log = glauber_simulate(cfg, rates, 0.5, seed=7)
+        assert final.values.shape == cfg.values.shape and len(log.sites) > 0
+        # flips recorded in the log match the parity of each site's events
+        flips = np.bincount(log.sites, minlength=cfg.n_sites).reshape(cfg.values.shape)
+        assert np.array_equal(final.values, np.where(flips % 2 == 0, cfg.values, -cfg.values))
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_first_event_time_is_exponential(case):
+    R0, times, _ = first_events(case)
+    assert stats.kstest(times, "expon", args=(0.0, 1.0 / R0)).pvalue > ALPHA
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_first_event_class_frequencies(case):
+    config, rates, _ = CASES[case]
+    R0, _, classes = first_events(case)
+    codes = rates._codes(config)
+    present = np.unique(codes)
+    expected = RUNS * np.bincount(codes)[present] * rates.table[present] / R0
+    observed = np.array([np.sum(classes == c) for c in present])
+    # pool the classes expected fewer than 5 times into one cell
+    small = expected < 5.0
+    assert small.any() and expected[small].sum() >= 5.0
+    exp_cells = np.append(expected[~small], expected[small].sum())
+    obs_cells = np.append(observed[~small], observed[small].sum())
+    assert obs_cells.sum() == RUNS
+    assert stats.chisquare(obs_cells, exp_cells).pvalue > ALPHA
+
+
+class _FirstUniformZero:
+    """A generator whose first uniform is exactly 0.0."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+        self.first = True
+
+    def random(self, size):
+        u = self.rng.random(size)
+        if self.first:
+            u[0], self.first = 0.0, False
+        return u
+
+
+def test_zero_uniform_gives_zero_wait_not_an_early_stop():
     cfg = SpinConfiguration.all_plus(1, 31)
     rates = LocalRateSpec.constant(1.0, 1)
-    final, log = glauber_simulate(cfg, rates, 0.5, seed=7, force_pure=True)
-    assert final.values.shape == (31,)
-    # flips recorded in the log match the parity of each site's events
-    flips = np.zeros(31, dtype=int)
-    for s in log.sites:
-        flips[int(s)] += 1
-    expect = np.where(flips % 2 == 0, 1, -1)
-    assert np.array_equal(final.values, expect.astype(np.int8))
+    final, log = glauber_simulate(cfg, rates, 0.5, seed=None, _rng=_FirstUniformZero(41))
+    assert log.times[0] == 0.0
+    assert len(log.times) > 1 and log.times[-1] <= 0.5
+    flips = np.bincount(log.sites, minlength=31)
+    assert np.array_equal(final.values, np.where(flips % 2 == 0, 1, -1))

@@ -139,6 +139,16 @@ def test_extremal_domain_validation():
     vals = path(t)
     assert np.max(np.abs(vals)) <= 0.9 + 1e-12
     assert np.min(vals) < 0.1
+    # m'' = 4m: between in-range endpoints |m| never exceeds the larger end
+    grid = np.linspace(-1.0, 1.0, 11)
+    for T in (0.05, 1.0, 4.0):
+        t = np.linspace(0.0, T, 801)
+        for m0 in grid:
+            for mT in grid:
+                _, _, path = mag_extremal(m0, mT, T)
+                assert np.max(np.abs(path(t))) <= max(abs(m0), abs(mT)) + 1e-12
+    with pytest.raises(PathLeavesDomain):
+        mag_extremal(0.0, -1.001, 2.0)
 
 
 def test_exact_log_prob_small_cases():
