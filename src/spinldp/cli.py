@@ -270,6 +270,9 @@ def cmd_lattice_check(cfg, out_dir, workers):
         merged["c5_instances"] = int(_need_number(cfg, "instances", lo=1))
     if "sides" in cfg:
         merged["c6_sides"] = [_odd_side(s, "sides") for s in _need(cfg, "sides", list)]
+        if len(set(merged["c6_sides"])) < 2:
+            raise ConfigError(f"sides: the scaling fit needs at least two distinct sides, "
+                              f"got {merged['c6_sides']}")
     r5 = criterion_5(merged)
     r6 = criterion_6(merged)
     out = {

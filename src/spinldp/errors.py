@@ -51,3 +51,7 @@ class DependenceSetTooLarge(SpinLDPError):
 
 class EmptyCell(SpinLDPError):
     """Reference measure assigns zero probability to an observed pattern."""
+
+
+class SeriesNotConverged(SpinLDPError):
+    """A truncated series did not meet its tail bound within its term budget."""

@@ -25,7 +25,7 @@ from .coefficients import (
     evaluate_translations,
 )
 from .seeding import ordered_map, rng_from
-from .errors import EmptyCell
+from .errors import ConfigError, EmptyCell
 from . import kernels
 
 __all__ = [
@@ -157,13 +157,31 @@ class LocalRateSpec:
 
     @staticmethod
     def from_dict(d: dict) -> "LocalRateSpec":
-        dim, radius = int(d["dim"]), int(d["radius"])
-        offs = _window_offsets(dim, radius)
-        table = np.empty(2 ** len(offs))
-        for pat, rate in d["rates"].items():
-            code = sum(1 << k for k, ch in enumerate(pat) if ch == "+")
-            table[code] = float(rate)
-        return LocalRateSpec(dim, radius, table)
+        """Inverse of to_dict; raises ConfigError unless every window pattern has a rate."""
+        try:
+            dim, radius, rates = int(d["dim"]), int(d["radius"]), dict(d["rates"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"rates: need integer dim and radius and a rates object ({exc!r})") from exc
+        if dim not in (1, 2) or radius < 0:
+            raise ConfigError(f"rates: need dim 1 or 2 and radius >= 0, got dim={dim}, radius={radius}")
+        w = len(_window_offsets(dim, radius))
+        table = np.full(2**w, np.nan)
+        for pat, rate in rates.items():
+            if len(pat) != w or set(pat) - {"+", "-"}:
+                raise ConfigError(f"rates: pattern {pat!r} is not {w} characters of '+'/'-'")
+            try:
+                table[sum(1 << k for k, ch in enumerate(pat) if ch == "+")] = float(rate)
+            except (TypeError, ValueError) as exc:
+                raise ConfigError(f"rates: rate {rate!r} of pattern {pat!r} is not a number") from exc
+        missing = np.flatnonzero(np.isnan(table))
+        if len(missing):
+            pats = ["".join("+" if (c >> k) & 1 else "-" for k in range(w)) for c in missing[:4]]
+            raise ConfigError(f"rates: {len(missing)} of {len(table)} window patterns have no rate, "
+                              f"e.g. {pats}")
+        try:
+            return LocalRateSpec(dim, radius, table)
+        except ValueError as exc:
+            raise ConfigError(f"rates: {exc}") from exc
 
     def rates_for(self, config: SpinConfiguration) -> np.ndarray:
         """Rate at every site: c(tau_i s), flattened."""

@@ -84,14 +84,31 @@ def _ratio_log(m, q):
     correct one-sided limits at m = +-1.  Call it under
     np.errstate(divide="ignore", invalid="ignore").
     """
-    m, q = np.broadcast_arrays(np.asarray(m, dtype=float), np.asarray(q, dtype=float))
+    m, q = np.asarray(m, dtype=float), np.asarray(q, dtype=float)
+    if not (m.ndim == q.ndim == 1 and len(m) == len(q)):
+        m, q = np.broadcast_arrays(m, q)
     r = np.sqrt(q * q + 4.0 * (1.0 - m * m))
     u = np.where(q >= 0, (q + r) / (2.0 * (1.0 - m)), (2.0 * (1.0 + m)) / (r - q))
     return m, q, r, u, np.log(u)
 
 
 def _lagrangian_value(m, q, r, log_u):
+    """The closed form, with the boundary chain only where some node needs it.
+
+    The chain changes no entry unless some node has |m| >= 1 or a
+    non-finite value, so otherwise it is skipped.  A node with q = 0 and
+    |m| < 1 needs no check of its own: there r/2 = sqrt(4(1-m^2))/2 is
+    sqrt(1-m^2) exactly (scaling by 4 commutes with rounding), so the
+    closed form already equals the chain's 1 - sqrt(1-m^2) bit for bit.
+    """
     val = 0.5 * q * log_u - 0.5 * r + 1.0
+    if (np.abs(m) < 1.0).all() and np.isfinite(val).all():
+        return val
+    return _boundary_cases(m, q, val)
+
+
+def _boundary_cases(m, q, val):
+    """Limits and infeasibility: the q = 0, |m| >= 1 and NaN corrections of val."""
     # q = 0 and boundary corner cases: vanishing velocity costs 1 - sqrt(1-m^2)
     val = np.where(q == 0, 1.0 - np.sqrt(np.maximum(1.0 - m * m, 0.0)), val)
     # infeasible: moving up at m=1 or down at m=-1 (log ratio diverges with q*log -> +inf)
@@ -263,6 +280,12 @@ def mag_value_and_partials(m, q):
 
     With u = e^{2 p*}: dL/dv = p* = log(u)/2 and dL/dm = sinh(2 p*)
     = (u - 1/u)/2 by the envelope identity.
+
+    Two 1-d arrays of one length are used as they are; anything else is
+    broadcast first.  The boundary chain (q = 0, |m| >= 1, NaN -> +inf)
+    runs only when some node has |m| >= 1 or a non-finite value; on the
+    other nodes, q = 0 included, it would change no bit, so the common
+    call of an action solve skips it.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         m, q, r, u, log_u = _ratio_log(m, q)

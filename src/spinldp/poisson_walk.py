@@ -19,6 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .errors import SeriesNotConverged
 from .io_utils import write_csv
 from .seeding import ordered_map, rng_from
 
@@ -132,6 +133,9 @@ def pw_simulate_many(
     return ordered_map(_pw_replica, jobs, workers)
 
 
+_MAX_TERMS = 10_000_000  # summation budget of pw_exact_log_prob
+
+
 def pw_exact_log_prob(params: PoissonWalkParams, t: float, k: int) -> float:
     """log P(X_N(t) = k/N) by exact two-Poisson convolution in log space.
 
@@ -147,13 +151,11 @@ def pw_exact_log_prob(params: PoissonWalkParams, t: float, k: int) -> float:
             return -math.inf
         return -lp + k * math.log(lp) - math.lgamma(k + 1)
     j0 = max(0, k)
-    log_terms = []
     j = j0
     log_sum = -math.inf
     llp, llm = math.log(lp), math.log(lm)
     while True:
         lt = -lp - lm + j * llp - math.lgamma(j + 1) + (j - k) * llm - math.lgamma(j - k + 1)
-        log_terms.append(lt)
         log_sum = max(log_sum, lt) + math.log1p(math.exp(min(log_sum, lt) - max(log_sum, lt)))
         # term ratio: lp*lm / ((j+1)(j+1-k)); once < 1/2 the tail is < 2*next term
         ratio = lp * lm / ((j + 1.0) * (j + 1.0 - k))
@@ -162,8 +164,9 @@ def pw_exact_log_prob(params: PoissonWalkParams, t: float, k: int) -> float:
             if log_next + math.log(2.0) < log_sum + math.log(1e-14):
                 break
         j += 1
-        if j - j0 > 10_000_000:
-            raise RuntimeError("two-Poisson summation failed to converge")
+        if j - j0 > _MAX_TERMS:
+            raise SeriesNotConverged(
+                f"two-Poisson summation not converged after {_MAX_TERMS} terms (lp={lp:.6g}, lm={lm:.6g})")
     return log_sum
 
 

@@ -7,6 +7,10 @@ Built-ins:
     shifted so the two wells +-m_beta (solving arctanh(m) = beta m) sit at
     height 0.  A mean-field stand-in for a low-temperature starting phase.
   * tabulated(grid, values): linear interpolation.
+
+bernoulli and double_well answer a plain float (or np.float64) on a scalar
+branch equal bit for bit to their 0-d array path: float + - * /, NumPy's log
+and arctanh, and m ** 2 through C pow as on a NumPy scalar.
 """
 
 from __future__ import annotations
@@ -35,11 +39,32 @@ class RateFunctionSpec:
         return self.evaluator(m)
 
 
+def _kl_scalar(x: float, yp: float, ym: float) -> float:
+    """bernoulli_kl_vec(x, y) for one float x in [-1, 1] (or NaN), bit for bit."""
+    xp, xm = 0.5 * (1.0 + x), 0.5 * (1.0 - x)
+    tp = xp * float(np.log(xp / yp)) if xp > 0 else 0.0
+    tm = xm * float(np.log(xm / ym)) if xm > 0 else 0.0
+    return tp + tm
+
+
+def _arctanh_clipped(x: float) -> float:
+    """arctanh(clip(x, -1, 1)) for one float, +-inf at the ends without a warning."""
+    if x >= 1.0:
+        return math.inf
+    if x <= -1.0:
+        return -math.inf
+    return float(np.arctanh(x))
+
+
 def bernoulli_rate(y: float) -> RateFunctionSpec:
     if not -1.0 < y < 1.0:
         raise ValueError("|y| must be < 1")
+    yp, ym = 0.5 * (1.0 + y), 0.5 * (1.0 - y)
 
     def ev(m):
+        if isinstance(m, float):
+            m = float(m)
+            return math.inf if abs(m) > 1.0 else _kl_scalar(m, yp, ym)
         m = np.asarray(m, float)
         out = bernoulli_kl_vec(np.clip(m, -1.0, 1.0), y)
         return np.where(np.abs(m) > 1.0, np.inf, out) if np.ndim(out) else (math.inf if abs(float(m)) > 1 else out)
@@ -47,6 +72,8 @@ def bernoulli_rate(y: float) -> RateFunctionSpec:
     ath_y = math.atanh(y)
 
     def dv(m):
+        if isinstance(m, float):
+            return _arctanh_clipped(float(m)) - ath_y
         with np.errstate(invalid="ignore", divide="ignore"):
             return np.arctanh(np.clip(np.asarray(m, float), -1.0, 1.0)) - ath_y
 
@@ -65,12 +92,20 @@ def double_well_rate(beta: float) -> RateFunctionSpec:
     shift = float(_entropy0(m_beta) - 0.5 * beta * m_beta * m_beta)
 
     def ev(m):
+        if isinstance(m, float):
+            m = float(m)
+            if abs(m) > 1.0:
+                return math.inf
+            return _kl_scalar(m, 0.5, 0.5) - 0.5 * beta * m ** 2 - shift
         m = np.asarray(m, float)
         inner = _entropy0(np.clip(m, -1.0, 1.0)) - 0.5 * beta * np.clip(m, -1.0, 1.0) ** 2 - shift
         out = np.where(np.abs(m) > 1.0, np.inf, inner)
         return out if out.ndim else float(out)
 
     def dv(m):
+        if isinstance(m, float):
+            m = float(m)
+            return _arctanh_clipped(m) - beta * m
         m = np.asarray(m, float)
         with np.errstate(invalid="ignore", divide="ignore"):
             return np.arctanh(np.clip(m, -1.0, 1.0)) - beta * m

@@ -124,7 +124,7 @@ def action_integral(model: LagrangianModel, traj: TrajectoryGrid) -> float:
     x = traj.values[:-1]
     v = np.diff(traj.values) / traj.dt
     integrand = np.asarray(model.value_and_partials(x, v)[0], dtype=float)
-    if np.any(np.isinf(integrand)) or np.any(np.isnan(integrand)):
+    if not np.isfinite(integrand).all():
         return math.inf
     return float(traj.dt * np.sum(integrand))
 
@@ -311,22 +311,33 @@ def _objective(value_and_partials, dt, mT, head, rate):
     The path is head + z + [mT].  A fixed start passes head = [m0], a pinned
     first node, and rate = None.  An open start passes an empty head, so z
     starts with the free first node, whose static cost rate.evaluator is
-    added to the action.  Any infinite integrand makes the value +inf.
+    added to the action.  Any infinite or NaN integrand makes the value +inf.
+
+    rate.evaluator and rate.derivative are called with one Python float, the
+    first node, and must return a float (or a NumPy scalar); the built-in
+    rate functions answer it on a scalar branch, bit for bit equal to their
+    0-d array path.
     """
     head = np.asarray(head, dtype=float)
+    tail = np.array([mT], dtype=float)
 
     def fun_grad(z):
-        full = np.concatenate([head, z, [mT]])
-        integ, gx, gv = value_and_partials(full[:-1], np.diff(full) / dt)
-        i0 = 0.0 if rate is None else float(rate.evaluator(full[0]))
-        if np.any(np.isinf(integ)) or np.any(np.isnan(integ)) or math.isinf(i0):
+        full = np.concatenate((head, z, tail))
+        x = full[:-1]
+        integ, gx, gv = value_and_partials(x, (full[1:] - x) / dt)
+        x0 = float(full[0])
+        i0 = 0.0 if rate is None else float(rate.evaluator(x0))
+        if not np.isfinite(integ).all() or math.isinf(i0):
             return math.inf, np.zeros_like(z)
         action = float(dt * np.sum(integ))
-        grad = dt * gx[1:] + gv[:-1] - gv[1:]
+        # node i >= 1: dt * L_x(i) + L_v(i-1) - L_v(i), in that order
+        grad = dt * gx
+        grad[1:] += gv[:-1]
+        grad -= gv
         if rate is None:
-            return action, grad
-        node0 = float(rate.derivative(full[0])) + dt * gx[0] - gv[0]
-        return i0 + action, np.concatenate([[node0], grad])
+            return action, grad[1:]
+        grad[0] = float(rate.derivative(x0)) + dt * float(gx[0]) - float(gv[0])
+        return i0 + action, grad
 
     return fun_grad
 

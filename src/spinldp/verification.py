@@ -21,6 +21,7 @@ from . import magnetization as mag
 from . import poisson_walk as pw
 from . import trajectory as tr
 from .coefficients import CoefficientMap
+from .errors import ConfigError
 from .rate_functions import double_well_rate
 from .seeding import child_seed, derived_int, rng_from
 
@@ -152,6 +153,8 @@ def criterion_6(cfg, workers=1):
     grad = lambda x: np.array([2.0 * x[0]])
     rates = lat.LocalRateSpec.constant(1.0, 1)
     sides, diffs = cfg["c6_sides"], []
+    if len(set(sides)) < 2:
+        raise ConfigError(f"c6_sides: the scaling fit needs at least two distinct sides, got {sides}")
     for side in sides:
         config = lat.SpinConfiguration.all_plus(1, side)
         fin, lim = lat.nonlinear_generator_general(config, psi, grad, [f0], rates)

@@ -4,6 +4,8 @@ import os
 import pytest
 
 from spinldp.cli import main
+from spinldp.errors import ConfigError
+from spinldp.verification import criterion_6
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -147,13 +149,47 @@ def test_lattice_sim_even_side_exits_2(tmp_path, capsys):
     assert "side:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("sides", [[4], [11, 20], [1]])
+@pytest.mark.parametrize("sides", [[4], [11, 20], [1], [11], [11, 11]])
 def test_lattice_check_bad_sides_exit_2(tmp_path, capsys, sides):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seed": 5, "instances": 2, "sides": sides}))
     assert run(["lattice-check", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
     assert "sides:" in capsys.readouterr().err
     assert not (tmp_path / "o" / "lattice_check.json").exists()
+
+
+@pytest.mark.parametrize("table", [
+    {"+++": 1.0},  # 7 of 8 window patterns missing
+    {p: 1.0 for p in ("---", "--+", "-+-", "-++", "+--", "+-+", "++-", "++")},  # wrong length
+    {p: 1.0 for p in ("---", "--+", "-+-", "-++", "+--", "+-+", "++-", "+x+")},  # bad character
+    {p: 1.0 for p in ("---", "--+", "-+-", "-++", "+--", "+-+", "++-", "+++", "++++")},  # unknown
+    {p: (0.0 if p == "+-+" else 1.0) for p in ("---", "--+", "-+-", "-++", "+--", "+-+", "++-", "+++")},
+])
+def test_lattice_sim_bad_rate_table_exits_2(tmp_path, capsys, table):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "seed": 3, "dim": 1, "side": 21,
+        "rates": {"kind": "table", "dim": 1, "radius": 1, "rates": table},
+        "times": [0.2], "replicas": 2, "observables": [[[0]]],
+    }))
+    assert run(["lattice-sim", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
+    assert "rates:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sides", [[11], [11, 11]])
+def test_criterion_6_needs_two_distinct_sides(sides):
+    with pytest.raises(ConfigError, match="c6_sides:"):
+        criterion_6({"c6_sides": sides})
+
+
+def test_unconverged_series_exits_1_with_error_name(tmp_path, capsys, monkeypatch):
+    from spinldp import poisson_walk
+
+    monkeypatch.setattr(poisson_walk, "_MAX_TERMS", 3)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"b": 2.0, "d": 1.0, "t": 1.0, "a": 1.0, "N_list": [50]}))
+    assert run(["pw-rate", str(cfg), "--out-dir", str(tmp_path / "o")]) == 1
+    assert "error SeriesNotConverged:" in capsys.readouterr().err
 
 
 def test_lattice_sim_negative_time_exits_2(tmp_path, capsys):

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from spinldp.duality import duality_gap
 from spinldp.errors import PathLeavesDomain
 from spinldp.magnetization import (
+    _boundary_cases,
+    _ratio_log,
     mag_constrained_pressure,
     mag_exact_log_prob,
     mag_extremal,
@@ -99,6 +101,37 @@ def test_mag_evaluator_matches_public_functions():
     val, _, lv = mag_value_and_partials(m, q)
     assert np.array_equal(val, mag_lagrangian_vec(m, q))
     assert np.array_equal(lv, mag_momentum(m, q))
+
+
+def _with_full_chain(m, q):
+    """The evaluator's three arrays with the boundary chain applied unconditionally."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        m, q, r, u, log_u = _ratio_log(m, q)
+        val = _boundary_cases(m, q, 0.5 * q * log_u - 0.5 * r + 1.0)
+        return val, 0.5 * (u - 1.0 / u), 0.5 * log_u
+
+
+@pytest.mark.parametrize("m_special, q_special", [
+    (0.3, 0.0), (-0.3, -0.0), (0.0, 0.0),  # q == 0 inside: the closed form is already exact
+    (1.0, 0.0), (-1.0, 0.0),  # q == 0 on the boundary
+    (1.0, 0.7), (1.0, -0.7), (-1.0, 0.7), (-1.0, -0.7),  # on the boundary, both velocity signs
+    (1.2, -3.0), (-1.5, 0.4),  # outside the state interval
+    (np.nan, 0.2), (0.1, np.nan),
+    (0.0, -1.0),  # interior only: the chain is skipped
+])
+def test_value_and_partials_match_full_boundary_chain(m_special, q_special):
+    m = np.linspace(-0.9, 0.9, 9)
+    q = np.linspace(-2.0, 2.0, 9) + 0.1
+    m[4], q[4] = m_special, q_special
+    got = mag_value_and_partials(m, q)
+    want = _with_full_chain(m, q)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape == m.shape
+        assert a.tobytes() == b.tobytes()
+    # the scalar and broadcast calls agree with the 1-d call node by node
+    val0, lx0, lv0 = mag_value_and_partials(m[4], q[4])
+    assert np.array_equal([val0, lx0, lv0], [got[0][4], got[1][4], got[2][4]], equal_nan=True)
+    assert np.array_equal(mag_value_and_partials(m[4], q)[0][4], got[0][4], equal_nan=True)
 
 
 def test_hamilton_rhs_reference():
