@@ -55,3 +55,7 @@ class EmptyCell(SpinLDPError):
 
 class SeriesNotConverged(SpinLDPError):
     """A truncated series did not meet its tail bound within its term budget."""
+
+
+class SolverNotConverged(SpinLDPError):
+    """An iterative solver spent its iteration budget with the iterate still moving."""

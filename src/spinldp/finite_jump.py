@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog
 
-from .errors import Infeasible, NotInRange, NotWellDefined
+from .errors import Infeasible, NotInRange, NotWellDefined, SolverNotConverged
 
 __all__ = [
     "JumpModel",
@@ -35,6 +35,9 @@ __all__ = [
     "product_lagrangian",
     "bernoulli_kl_vec",
 ]
+
+# Newton iteration budget of fj_lagrangian_variational and fj_lagrangian_dual.
+_MAX_NEWTON_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -89,6 +92,11 @@ def fj_lagrangian_variational(model: JumpModel, alpha, tol: float = 1e-12, retur
     backtracking on the quotient by ker(D) (adding constants to f changes
     nothing).  Raises NotInRange when alpha is not in range(D^T), where the
     supremum is +inf.
+
+    Newton stops when the reduced gradient norm is at most tol times
+    (1 + |alpha reduced|), or when a step leaves the iterate exactly
+    unchanged (round-off: every later iteration would repeat it).  After
+    _MAX_NEWTON_ITER iterations still moving it raises SolverNotConverged.
     """
     alpha = np.asarray(alpha, dtype=float)
     w = model.weights
@@ -105,7 +113,7 @@ def fj_lagrangian_variational(model: JumpModel, alpha, tol: float = 1e-12, retur
     a_red = V.T @ alpha
 
     z = np.zeros(V.shape[1])
-    for _ in range(200):
+    for _ in range(_MAX_NEWTON_ITER):
         e = w * np.exp(DV @ z)
         grad = a_red - DV.T @ e
         if np.linalg.norm(grad) <= tol * (1.0 + np.linalg.norm(a_red)):
@@ -125,7 +133,12 @@ def fj_lagrangian_variational(model: JumpModel, alpha, tol: float = 1e-12, retur
             if phi_new > phi + 1e-4 * t * (grad @ step):
                 break
             t *= 0.5
-        z = z + t * step
+        z_next = z + t * step
+        if np.array_equal(z_next, z):
+            break
+        z = z_next
+    else:
+        raise SolverNotConverged(f"variational Newton still moving after {_MAX_NEWTON_ITER} iterations")
     value = float(a_red @ z - np.sum(w * np.exp(DV @ z) - w))
     if return_maximizer:
         return value, V @ z
@@ -139,6 +152,12 @@ def fj_lagrangian_dual(model: JumpModel, alpha, tol: float = 1e-12):
     point comes from a Chebyshev-style LP, then damped Newton runs in the
     kernel coordinates of D^T with positivity enforced by line search.
     Returns (value, nu).
+
+    Newton stops when the kernel gradient norm is at most tol times
+    (1 + C_mu), or when a step, after the positivity clamp, leaves nu
+    exactly unchanged (round-off: every later iteration would repeat it).
+    After _MAX_NEWTON_ITER iterations still moving it raises
+    SolverNotConverged.
     """
     alpha = np.asarray(alpha, dtype=float)
     w = model.weights
@@ -173,7 +192,7 @@ def fj_lagrangian_dual(model: JumpModel, alpha, tol: float = 1e-12):
     def objective(v):
         return float(np.sum(v * np.log(v / w) - v + w))
 
-    for _ in range(200):
+    for _ in range(_MAX_NEWTON_ITER):
         grad = K.T @ np.log(nu / w)
         if np.linalg.norm(grad) <= tol * (1.0 + model.C_mu):
             break
@@ -189,9 +208,14 @@ def fj_lagrangian_dual(model: JumpModel, alpha, tol: float = 1e-12):
             if np.all(nu_new > 0) and objective(nu_new) < f0 + 1e-4 * t * (grad @ step):
                 break
             t *= 0.5
-        nu = nu + t * (K @ step)
-        if np.any(nu <= 0):
-            nu = np.maximum(nu, 1e-300)
+        nu_next = nu + t * (K @ step)
+        if np.any(nu_next <= 0):
+            nu_next = np.maximum(nu_next, 1e-300)
+        if np.array_equal(nu_next, nu):
+            break
+        nu = nu_next
+    else:
+        raise SolverNotConverged(f"dual Newton still moving after {_MAX_NEWTON_ITER} iterations")
     return objective(nu), nu
 
 
@@ -220,14 +244,15 @@ def fj_paper_closed_form(model: JumpModel, alpha) -> float:
 def bernoulli_kl_vec(x, y):
     """KL between spin marginals with means x and y, per site; vectorized.
 
-    Handles x = +-1 by 0 log 0 = 0; requires |y| < 1.
+    Handles x = +-1 by 0 log 0 = 0; requires |y| < 1.  A NaN x gives NaN.
     """
     x = np.asarray(x, dtype=float)
     yp, ym = 0.5 * (1.0 + y), 0.5 * (1.0 - y)
     xp, xm = 0.5 * (1.0 + x), 0.5 * (1.0 - x)
+    zero_or_nan = np.where(np.isnan(x), np.nan, 0.0)  # 0 log 0 = 0, NaN stays NaN
     with np.errstate(divide="ignore", invalid="ignore"):
-        tp = np.where(xp > 0, xp * np.log(np.where(xp > 0, xp, 1.0) / yp), 0.0)
-        tm = np.where(xm > 0, xm * np.log(np.where(xm > 0, xm, 1.0) / ym), 0.0)
+        tp = np.where(xp > 0, xp * np.log(np.where(xp > 0, xp, 1.0) / yp), zero_or_nan)
+        tm = np.where(xm > 0, xm * np.log(np.where(xm > 0, xm, 1.0) / ym), zero_or_nan)
     out = tp + tm
     return float(out) if out.ndim == 0 else out
 

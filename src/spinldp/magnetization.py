@@ -71,7 +71,23 @@ def mag_hamiltonian_dp(m: float, p: float) -> float:
 
 
 def mag_lagrangian(m: float, q: float) -> float:
-    """sup_p [p q - H(m, p)]; +inf for infeasible boundary velocities."""
+    """sup_p [p q - H(m, p)]; +inf for infeasible boundary velocities.
+
+    Two plain floats (or np.float64) with |m| < 1 and a finite result take a
+    scalar branch equal bit for bit to the 0-d path of mag_lagrangian_vec:
+    the same float operations in the same order, math.sqrt (correctly
+    rounded, like np.sqrt), NumPy's log, and _ratio_log's choice of ratio
+    by the sign test q >= 0.  Every other input, and a non-finite ratio or
+    value, goes through mag_lagrangian_vec.
+    """
+    if isinstance(m, float) and isinstance(q, float) and -1.0 < m < 1.0:
+        m, q = float(m), float(q)
+        r = math.sqrt(q * q + 4.0 * (1.0 - m * m))
+        u = (q + r) / (2.0 * (1.0 - m)) if q >= 0 else (2.0 * (1.0 + m)) / (r - q)
+        if 0.0 < u < math.inf:
+            val = 0.5 * q * float(np.log(u)) - 0.5 * r + 1.0
+            if math.isfinite(val):
+                return val
     return float(mag_lagrangian_vec(np.asarray(m, float), np.asarray(q, float)))
 
 

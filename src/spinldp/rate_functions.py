@@ -42,8 +42,9 @@ class RateFunctionSpec:
 def _kl_scalar(x: float, yp: float, ym: float) -> float:
     """bernoulli_kl_vec(x, y) for one float x in [-1, 1] (or NaN), bit for bit."""
     xp, xm = 0.5 * (1.0 + x), 0.5 * (1.0 - x)
-    tp = xp * float(np.log(xp / yp)) if xp > 0 else 0.0
-    tm = xm * float(np.log(xm / ym)) if xm > 0 else 0.0
+    # 0 log 0 = 0 and NaN stays NaN; the NaN test runs off the log branch only
+    tp = xp * float(np.log(xp / yp)) if xp > 0 else (math.nan if math.isnan(xp) else 0.0)
+    tm = xm * float(np.log(xm / ym)) if xm > 0 else (math.nan if math.isnan(xm) else 0.0)
     return tp + tm
 
 

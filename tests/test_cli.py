@@ -192,6 +192,19 @@ def test_unconverged_series_exits_1_with_error_name(tmp_path, capsys, monkeypatc
     assert "error SeriesNotConverged:" in capsys.readouterr().err
 
 
+def test_unconverged_newton_reported_per_route(tmp_path, capsys, monkeypatch):
+    from spinldp import finite_jump
+
+    monkeypatch.setattr(finite_jump, "_MAX_NEWTON_ITER", 1)
+    out = tmp_path / "out"
+    assert run(["fd-lagrangian", os.path.join(CONFIGS, "fd_lagrangian.json"),
+                "--out-dir", str(out)]) == 0
+    report = json.loads((out / "fd_lagrangian.json").read_text())
+    assert report["variational"] == {"error": "SolverNotConverged"}
+    assert report["dual"] == {"error": "SolverNotConverged"}
+    assert abs(report["mass_constrained_closed_form"] - 0.1438410) <= 1e-6
+
+
 def test_lattice_sim_negative_time_exits_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

@@ -1,4 +1,5 @@
-"""Golden outputs: is_bad on two small cells, pinned to the last bit.
+"""Golden outputs: is_bad on two small cells and the exact oracles of
+criteria 1 and 7, pinned to the last bit.
 
 The scan CSV carries neither the branch solves nor the full minimizer
 values, so a change to the evaluators that moves a solve by one ulp would
@@ -11,6 +12,9 @@ re-records them and says so.
 
 import pytest
 
+from spinldp import duality as du
+from spinldp import finite_jump as fj
+from spinldp import verification as vf
 from spinldp.badness import SolverOpts, is_bad, optimal_initials
 from spinldp.rate_functions import bernoulli_rate, double_well_rate
 
@@ -53,3 +57,49 @@ def test_is_bad_golden_hex(cell):
     assert [float(m.value).hex() for m in mins] == g["value"]
     assert [x.hex() for x in diag["plus_branch"]] == g["plus_branch"]
     assert [x.hex() for x in diag["minus_branch"]] == g["minus_branch"]
+
+
+# Criteria 1 and 7 at seed 1 with 16 jump models, recorded before the Newton
+# solvers of finite_jump stopped at their round-off fixed point and before
+# mag_lagrangian got its scalar branch.  Models 0, 2, 3, 12 and 13 stall in
+# the variational solver and models 1, 6-8 and 12-15 in the dual one.
+GOLDEN_C1 = {"gap_hl": "0x1.8000000000000p-39", "gap_lh": "0x1.0000000000000p-50"}
+GOLDEN_C7 = [
+    ("0x1.62c94fce8c9b8p+1", "0x1.62c94fce8c9aep+1"), ("0x1.5e73ad5ae6c34p+0", "0x1.5e73ad5ae6c18p+0"),
+    ("0x1.b7ce09ae2abe6p+3", "0x1.b7ce09ae2abf0p+3"), ("0x1.75dafa6f98544p-2", "0x1.75dafa6f98539p-2"),
+    ("0x1.e276ec434bcb4p+1", "0x1.e276ec434bcaap+1"), ("0x1.0a2766fea7028p-6", "0x1.0a2766fea7040p-6"),
+    ("0x1.055e9545534c8p+2", "0x1.055e9545534bdp+2"), ("0x1.063214919e982p+3", "0x1.063214919e97dp+3"),
+    ("0x1.1a93421905881p+3", "0x1.1a93421905877p+3"), ("0x1.2e70831ecbde1p+2", "0x1.2e70831ecbddbp+2"),
+    ("0x1.887d66f42986fp+1", "0x1.887d66f429889p+1"), ("0x1.4629cd37311dcp-4", "0x1.4629cd37311d4p-4"),
+    ("0x1.94c2e5ea4fd32p-1", "0x1.94c2e5ea4fd24p-1"), ("0x1.4b3e78065f247p+2", "0x1.4b3e78065f252p+2"),
+    ("0x1.f478d4ee58b08p-4", "0x1.f478d4ee58ccbp-4"), ("0x1.a159fbd92c6eap+2", "0x1.a159fbd92c6c2p+2"),
+]
+
+
+def _recording(monkeypatch, module, name, log):
+    inner = getattr(module, name)
+
+    def wrapped(*args, **kwargs):
+        out = inner(*args, **kwargs)
+        log.append(out)
+        return out
+
+    monkeypatch.setattr(module, name, wrapped)
+
+
+def test_criterion_1_gaps_golden_hex(monkeypatch):
+    gaps = []
+    _recording(monkeypatch, du, "duality_gap", gaps)
+    res = vf.criterion_1({"seed": 1})
+    assert res.passed
+    assert [g.hex() for g in gaps] == [GOLDEN_C1["gap_hl"], GOLDEN_C1["gap_lh"]]
+
+
+def test_criterion_7_values_golden_hex(monkeypatch):
+    var, dual = [], []
+    _recording(monkeypatch, fj, "fj_lagrangian_variational", var)
+    _recording(monkeypatch, fj, "fj_lagrangian_dual", dual)
+    res = vf.criterion_7({"seed": 1, "c7_models": 16})
+    assert res.passed
+    # the 17th variational call is criterion 7's two-state counterexample
+    assert [(v.hex(), d.hex()) for v, (d, _) in zip(var[:16], dual)] == GOLDEN_C7

@@ -134,6 +134,37 @@ def test_value_and_partials_match_full_boundary_chain(m_special, q_special):
     assert np.array_equal(mag_value_and_partials(m[4], q)[0][4], got[0][4], equal_nan=True)
 
 
+def _lagrangian_inputs():
+    rng = np.random.default_rng(20261018)
+    m = rng.uniform(-1.0, 1.0, 20000)
+    q = np.concatenate([rng.uniform(-8.0, 8.0, 10000),
+                        10.0 ** rng.uniform(-12.0, 3.0, 10000)])
+    ms = np.concatenate([m, m, m, m])
+    qs = np.concatenate([q, -q, np.zeros(20000), np.full(20000, -0.0)])
+    special = [(s * 1.0, z) for s in (1.0, -1.0) for z in (0.7, -0.7, 0.0, -0.0)]
+    special += [(1.2, 0.3), (-1.2, -0.3), (1.0 - 1e-12, 0.5), (1.0 - 1e-12, -0.5),
+                (-(1.0 - 1e-12), 0.5), (1.0 - 1e-12, 0.0), (0.3, 1e300), (0.3, -1e300)]
+    special += [(x, 0.4) for x in (math.nan, math.inf, -math.inf)]
+    special += [(0.4, x) for x in (math.nan, math.inf, -math.inf)]
+    sm, sq = zip(*special)
+    return np.concatenate([ms, sm]), np.concatenate([qs, sq])
+
+
+def test_mag_lagrangian_scalar_branch_equals_0d_path():
+    ms, qs = _lagrangian_inputs()
+    with np.errstate(over="ignore"):  # q = +-1e300 overflows q * q on either path
+        ref = np.array([float(mag_lagrangian_vec(np.asarray(m), np.asarray(q))) for m, q in zip(ms, qs)])
+        outs = {cast: [mag_lagrangian(cast(m), cast(q)) for m, q in zip(ms, qs)]
+                for cast in (float, np.float64)}
+    for out in outs.values():
+        assert all(type(v) is float for v in out)
+        got = np.array(out)
+        bad = got.view(np.uint64) != ref.view(np.uint64)
+        assert not bad.any(), list(zip(ms[bad][:5], qs[bad][:5]))
+    assert mag_lagrangian(1.0, 0.7) == math.inf and mag_lagrangian(-1.0, -0.7) == math.inf
+    assert mag_lagrangian(1.2, 0.0) == math.inf and mag_lagrangian(math.nan, 0.4) == math.inf
+
+
 def test_hamilton_rhs_reference():
     for m in (-0.5, 0.0, 0.7):
         dm, dp = mag_hamilton_rhs(m, 0.0)

@@ -8,9 +8,13 @@ well's vector path squares with a multiply, its 0-d path with C pow, and the
 two already differ in the last bit on a few inputs.
 """
 
+import hashlib
+import math
+
 import numpy as np
 import pytest
 
+from spinldp.finite_jump import bernoulli_kl_vec
 from spinldp.rate_functions import bernoulli_rate, double_well_rate
 
 SPECS = {"bernoulli": bernoulli_rate(0.5), "double_well": double_well_rate(1.5)}
@@ -43,3 +47,33 @@ def test_scalar_branch_edge_values():
     assert dw.derivative(1.2) == np.inf and dw.derivative(-1.0) == -np.inf
     assert abs(dw.evaluator(dw.minimizers[1])) <= 1e-12
     assert b.evaluator(0.5) == 0.0 and abs(b.derivative(0.5)) <= 1e-15
+
+
+def _sha(values):
+    return hashlib.sha256(np.asarray(values, float).tobytes()).hexdigest()
+
+
+def test_nan_state_gives_nan_on_every_path():
+    """A NaN state is not the minimum of the rate function: Bernoulli
+    returns NaN on the scalar, 0-d and vector paths, as the double well does."""
+    for spec in SPECS.values():
+        for cast in (float, np.float64):
+            assert math.isnan(spec.evaluator(cast(math.nan)))
+        assert math.isnan(spec.evaluator(np.asarray(math.nan)))
+        vec = spec.evaluator(np.array([0.2, math.nan, -0.4]))
+        assert math.isnan(vec[1]) and not np.isnan(vec[[0, 2]]).any()
+    assert math.isnan(bernoulli_kl_vec(math.nan, 0.3))
+    kl = bernoulli_kl_vec(np.array([1.0, math.nan, -1.0]), 0.3)
+    assert math.isnan(kl[1]) and not np.isnan(kl[[0, 2]]).any()
+
+
+def test_bernoulli_bits_unchanged_off_nan():
+    """sha256 of the float64 bytes over the seeded grid, recorded before NaN
+    handling went in; every path must keep them."""
+    spec = SPECS["bernoulli"]
+    xs = _inputs(spec)
+    want = "09805c18ce7dea6ed3ca1fc7cea04eddb03d318fd2ff41156c88e79b8cfd1747"
+    assert _sha(spec.evaluator(xs)) == want
+    assert _sha([spec.evaluator(float(x)) for x in xs]) == want
+    assert _sha([float(spec.evaluator(np.asarray(x))) for x in xs]) == want
+    assert _sha(bernoulli_kl_vec(xs, 0.3)) == "f1b0043cf7d0f77dc4c0ef8e1afe7f203ec645f953266c105a08ec05fad99e9f"
