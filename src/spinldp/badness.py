@@ -19,7 +19,7 @@ the crossover.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -47,6 +47,11 @@ __all__ = [
     "BadnessScanResult",
     "rate_function_from_descriptor",
 ]
+
+# is_bad solves the perturbed endpoints mT +- delta 2^-n for n < _N_LEVELS.
+_N_LEVELS = 5
+# nature_nurture_classify's tie band, relative to the anchor separation.
+_DEAD_BAND = 0.10
 
 
 @dataclass(frozen=True)
@@ -89,21 +94,17 @@ def optimal_initials(
     T: float,
     opts: SolverOpts = SolverOpts(),
     model=None,
-    cluster_gamma0: float = 1e-3,
-    cluster_value: float = 1e-5,
 ):
     """The cluster set M* of minimizers of m' -> I(m') + K_T(m', mT).
 
-    Returns a list of OpenMinimizer records sorted by value (global minimum
-    first), all within cluster_value of the minimum and mutually separated
-    by more than cluster_gamma0 in their start points.
+    Returns minimize_action_open_start's list of OpenMinimizer records,
+    sorted by value (global minimum first).
     """
     model = model if model is not None else mag_model()
     problem = ActionProblem(model, OpenStart(I), mT, T)
     _, _, cluster = minimize_action_open_start(
         problem, steps=opts.steps_for(T), seed=opts.seed,
         max_iter=opts.max_iter, gtol=opts.gtol,
-        cluster_gamma0=cluster_gamma0, cluster_value=cluster_value,
     )
     return cluster
 
@@ -117,12 +118,11 @@ def is_bad(
     opts: SolverOpts = SolverOpts(),
     model=None,
     minimizers=None,
-    n_levels: int = 5,
 ):
     """Two-sided branch-selection detector.
 
     The perturbed endpoints mT + delta 2^-n and mT - delta 2^-n are solved
-    for every level n = 0..n_levels-1, and the start of each global
+    for every level n = 0.._N_LEVELS-1, and the start of each global
     minimizer is recorded in diagnostics["plus_branch"] and
     ["minus_branch"].  Only the last level enters the verdict: True iff
     M*(mT) has >= 2 elements, the two last-level selections are nearest to
@@ -142,7 +142,7 @@ def is_bad(
     if len(minimizers) < 2:
         return False, diag
 
-    for n in range(n_levels):
+    for n in range(_N_LEVELS):
         d = delta * 2.0**-n
         for sign, key in ((+1.0, "plus_branch"), (-1.0, "minus_branch")):
             sel = optimal_initials(I, mT + sign * d, T, opts=opts, model=model)
@@ -168,13 +168,12 @@ def nature_nurture_classify(
     opts: SolverOpts = SolverOpts(),
     model=None,
     minimizers=None,
-    dead_band: float = 0.10,
 ):
     """Per-minimizer nature/nurture labels plus an aggregate.
 
     nature: the start serves the conditioning (close to the zero-cost
     preimage flow(mT, -T)); nurture: the start is typical for I (close to
-    argmin I).  Ties within dead_band * anchor separation are 'mixed'.
+    argmin I).  Ties within _DEAD_BAND * anchor separation are 'mixed'.
     Returns (label, records) with records of
     (gamma0, label, d_nature, d_nurture).
     """
@@ -188,7 +187,7 @@ def nature_nurture_classify(
         d_nat = abs(m.gamma0 - anchor)
         d_nur = min(abs(m.gamma0 - w) for w in wells)
         ref = max(abs(anchor - min(wells, key=lambda w: abs(w - anchor))), 1e-6)
-        if abs(d_nat - d_nur) <= dead_band * ref:
+        if abs(d_nat - d_nur) <= _DEAD_BAND * ref:
             label = "mixed"
         elif d_nat < d_nur:
             label = "nature"
@@ -238,9 +237,9 @@ class BadnessScanResult:
 
 
 def _scan_cell(args):
-    (kind, params, T, mT, epsilon, delta, opts_dict, master_seed, index) = args
+    (kind, params, T, mT, epsilon, delta, opts, master_seed, index) = args
     I = rate_function_from_descriptor(kind, params)
-    opts = SolverOpts(**{**opts_dict, "seed": child_seed(master_seed, index)})
+    opts = replace(opts, seed=child_seed(master_seed, index))
     model = mag_model()
     try:
         mins = optimal_initials(I, mT, T, opts=opts, model=model)
@@ -284,16 +283,12 @@ def badness_scan(
     order, so the result is identical for any worker count.  Per-cell
     errors are recorded in the cell, never aborting the scan.
     """
-    opts_dict = {
-        "dt_target": opts.dt_target, "min_steps": opts.min_steps,
-        "max_iter": opts.max_iter, "gtol": opts.gtol,
-    }
     jobs = []
     idx = 0
     for T in T_grid:
         for mT in mT_grid:
             jobs.append((I_kind, tuple(I_params), float(T), float(mT),
-                         epsilon, delta, opts_dict, master_seed, idx))
+                         epsilon, delta, opts, master_seed, idx))
             idx += 1
     cells = tuple(ordered_map(_scan_cell, jobs, workers))
     out = BadnessScanResult(kind=I_kind, params=tuple(I_params), cells=cells)

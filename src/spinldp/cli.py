@@ -59,6 +59,13 @@ def _need_number(cfg, field, lo=None, hi=None, where=""):
     return float(v)
 
 
+def _number_or(cfg, field, default, lo=None, hi=None, where=""):
+    """_need_number for an optional field: float(default) when it is absent."""
+    if field not in cfg:
+        return float(default)
+    return _need_number(cfg, field, lo, hi, where)
+
+
 def _need_seed(cfg):
     if "seed" not in cfg:
         raise ConfigError("seed: a master seed is mandatory for stochastic commands")
@@ -75,6 +82,9 @@ def _odd_side(v, where):
 def _grid(spec, where):
     """Either an explicit list or {start, stop, num[, log]}"""
     if isinstance(spec, list):
+        bad = [x for x in spec if isinstance(x, bool) or not isinstance(x, (int, float))]
+        if bad:
+            raise ConfigError(f"{where}: expected numbers, got {bad[0]!r}")
         return [float(x) for x in spec]
     if isinstance(spec, dict):
         start = _need_number(spec, "start", where=where)
@@ -94,7 +104,7 @@ def _rates_from_config(spec, where="rates"):
         dim = int(_need_number(spec, "dim", lo=1, hi=2, where=where + "."))
         return lat.LocalRateSpec.constant(
             _need_number(spec, "value", lo=1e-12, where=where + "."), dim,
-            int(spec.get("radius", 0)))
+            int(_number_or(spec, "radius", 0, lo=0, where=where + ".")))
     if kind == "table":
         return lat.LocalRateSpec.from_dict(spec)
     if kind == "random":
@@ -102,8 +112,16 @@ def _rates_from_config(spec, where="rates"):
         return lat.LocalRateSpec.random_table(
             dim, int(_need_number(spec, "radius", lo=0, where=where + ".")),
             int(_need_number(spec, "seed", where=where + ".")),
-            spec.get("lo", 0.2), spec.get("hi", 5.0))
+            _number_or(spec, "lo", 0.2, lo=1e-12, where=where + "."),
+            _number_or(spec, "hi", 5.0, lo=1e-12, where=where + "."))
     raise ConfigError(f"{where}.kind: unknown kind {kind!r}")
+
+
+def _n_list(cfg):
+    n_list = [int(n) for n in _grid(_need(cfg, "N_list", list), "N_list")]
+    if not n_list or any(n < 1 for n in n_list):
+        raise ConfigError("N_list: need positive integers")
+    return n_list
 
 
 @command("pw-rate")
@@ -112,9 +130,7 @@ def cmd_pw_rate(cfg, out_dir, workers):
     d = _need_number(cfg, "d", lo=0.0)
     t = _need_number(cfg, "t", lo=1e-12)
     a = _need_number(cfg, "a")
-    n_list = [int(n) for n in _need(cfg, "N_list", list)]
-    if not n_list or any(n < 1 for n in n_list):
-        raise ConfigError("N_list: need positive integers")
+    n_list = _n_list(cfg)
     params = pw.PoissonWalkParams(b, d, 1)
     rows = pw.pw_rate_convergence(params, n_list, t, a,
                                   csv_path=os.path.join(out_dir, "pw_rate.csv"))
@@ -128,8 +144,8 @@ def cmd_mag_rate(cfg, out_dir, workers):
     m0 = _need_number(cfg, "m0", lo=-1.0, hi=1.0)
     mT = _need_number(cfg, "mT", lo=-1.0, hi=1.0)
     T = _need_number(cfg, "T", lo=1e-9)
-    steps = int(cfg.get("steps", 400))
-    n_list = [int(n) for n in _need(cfg, "N_list", list)]
+    steps = int(_number_or(cfg, "steps", 400, lo=1))
+    n_list = _n_list(cfg)
     model = mag.mag_model()
     problem = tr.ActionProblem(model, tr.FixedStart(m0), mT, T)
     _, action = tr.minimize_action_fixed(problem, steps=steps, seed=child_seed(seed, 0))
@@ -150,7 +166,7 @@ def cmd_mag_bvp(cfg, out_dir, workers):
     m0 = _need_number(cfg, "m0", lo=-1.0, hi=1.0)
     mT = _need_number(cfg, "mT", lo=-1.0, hi=1.0)
     T = _need_number(cfg, "T", lo=1e-9)
-    steps = int(cfg.get("steps", 2000))
+    steps = int(_number_or(cfg, "steps", 2000, lo=1))
     c1, c2, path = mag.mag_extremal(m0, mT, T)
     times = np.linspace(0.0, T, steps + 1)
     values = path(times)
@@ -166,12 +182,16 @@ def cmd_mag_bvp(cfg, out_dir, workers):
     return 0
 
 
+def _float_array(cfg, field):
+    try:
+        return np.array(_need(cfg, field, list), dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{field}: expected a numeric array ({exc})") from exc
+
+
 @command("fd-lagrangian")
 def cmd_fd_lagrangian(cfg, out_dir, workers):
-    D = np.array(_need(cfg, "D", list), dtype=float)
-    c = np.array(_need(cfg, "c", list), dtype=float)
-    mu = np.array(_need(cfg, "mu", list), dtype=float)
-    alpha = np.array(_need(cfg, "alpha", list), dtype=float)
+    D, c, mu, alpha = (_float_array(cfg, f) for f in ("D", "c", "mu", "alpha"))
     try:
         model = fj.JumpModel(D, c, mu)
     except ValueError as exc:
@@ -207,17 +227,17 @@ def cmd_scan_bad(cfg, out_dir, workers):
         raise ConfigError(f"rate_function: {exc}") from exc
     T_grid = _grid(_need(cfg, "T_grid", (list, dict)), "T_grid")
     mT_grid = _grid(_need(cfg, "mT_grid", (list, dict)), "mT_grid")
-    solver = cfg.get("solver", {})
+    solver = _need(cfg, "solver", dict) if "solver" in cfg else {}
     opts = bd.SolverOpts(
-        dt_target=float(solver.get("dt_target", 0.02)),
-        min_steps=int(solver.get("min_steps", 100)),
-        max_iter=int(solver.get("max_iter", 800)),
-        gtol=float(solver.get("gtol", 1e-8)),
+        dt_target=_number_or(solver, "dt_target", 0.02, lo=1e-12, where="solver."),
+        min_steps=int(_number_or(solver, "min_steps", 100, lo=1, where="solver.")),
+        max_iter=int(_number_or(solver, "max_iter", 800, lo=1, where="solver.")),
+        gtol=_number_or(solver, "gtol", 1e-8, lo=0.0, where="solver."),
     )
     result = bd.badness_scan(
         kind, params, T_grid, mT_grid,
-        epsilon=float(cfg.get("epsilon", 0.1)),
-        delta=float(cfg.get("delta", 0.05)),
+        epsilon=_number_or(cfg, "epsilon", 0.1, lo=0.0),
+        delta=_number_or(cfg, "delta", 0.05, lo=1e-12),
         opts=opts, master_seed=seed, workers=workers,
         csv_path=os.path.join(out_dir, "scan_bad.csv"),
     )
@@ -236,7 +256,10 @@ def cmd_lattice_sim(cfg, out_dir, workers):
         raise ConfigError(f"times: need at least one checkpoint, all >= 0, got {times}")
     replicas = int(_need_number(cfg, "replicas", lo=1))
     obs = _need(cfg, "observables", list)
-    obs_offsets = [[tuple(int(x) for x in o) for o in A] for A in obs]
+    try:
+        obs_offsets = [[tuple(int(x) for x in o) for o in A] for A in obs]
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"observables: expected lists of integer offsets ({exc})") from exc
     arr = lat.moment_series(dim, side, rates, times, obs_offsets,
                             replicas=replicas, master_seed=seed, workers=workers)
     rows = []
@@ -287,17 +310,17 @@ def cmd_lattice_check(cfg, out_dir, workers):
 
 @command("verify")
 def cmd_verify(cfg, out_dir, workers):
-    from .verification import DEFAULTS, run_criteria
+    from .verification import CRITERIA, DEFAULTS, run_criteria
 
     seed = _need_seed(cfg) if "seed" in cfg else DEFAULTS["seed"]
     merged = {k: v for k, v in cfg.items() if k in DEFAULTS}
     merged["seed"] = seed
     indices = cfg.get("criteria")
     if indices is not None:
-        indices = [int(i) for i in indices]
-        bad = [i for i in indices if i not in range(1, 12)]
+        indices = _need(cfg, "criteria", list)
+        bad = [i for i in indices if type(i) is not int or i not in CRITERIA]
         if bad:
-            raise ConfigError(f"criteria: unknown indices {bad} (valid 1..11)")
+            raise ConfigError(f"criteria: unknown indices {bad} (valid {sorted(CRITERIA)})")
     results = run_criteria(indices, merged, workers=workers)
     write_csv(os.path.join(out_dir, "verify_summary.csv"),
               ["index", "name", "passed", "detail"],

@@ -15,8 +15,10 @@ from typing import Callable, Optional, Sequence
 
 from .errors import NonCoercive, NotConvex
 
-VALUE_TOL = 1e-10
+# Golden-section stops when the bracket is at most ARGMAX_TOL (1 + |a| + |b|).
 ARGMAX_TOL = 1e-8
+# conjugate declares NonCoercive after this many bracket doublings on a side.
+_MAX_DOUBLINGS = 60
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -92,16 +94,13 @@ def conjugate(
     f: ScalarFunction | Callable[[float], float],
     slope: float,
     bracket: tuple[float, float] = (-50.0, 50.0),
-    value_tol: float = VALUE_TOL,
-    argmax_tol: float = ARGMAX_TOL,
-    max_doublings: int = 60,
     convexity_check: bool = True,
 ) -> ConjugateResult:
     """sup_p [slope*p - f(p)] for convex f.
 
     The bracket slides outward (doubling its step) on a side while the
     endpoint there still beats the interior; coercive objectives turn around
-    quickly, and an objective that is still growing after max_doublings
+    quickly, and an objective that is still growing after _MAX_DOUBLINGS
     expansions is declared NonCoercive (supremum +inf).  Golden-section
     search then localizes the maximizer of the concave objective, followed
     by a Newton polish on f'(p) = slope when a derivative is available.
@@ -132,9 +131,9 @@ def conjugate(
     n = 0
     while gm < ga and a > domain[0]:
         n += 1
-        if n > max_doublings:
+        if n > _MAX_DOUBLINGS:
             raise NonCoercive(
-                f"objective still increasing leftward after {max_doublings} expansions"
+                f"objective still increasing leftward after {_MAX_DOUBLINGS} expansions"
             )
         b, gb = m, gm
         m, gm = a, ga
@@ -144,9 +143,9 @@ def conjugate(
     n = 0
     while gm < gb and b < domain[1]:
         n += 1
-        if n > max_doublings:
+        if n > _MAX_DOUBLINGS:
             raise NonCoercive(
-                f"objective still increasing rightward after {max_doublings} expansions"
+                f"objective still increasing rightward after {_MAX_DOUBLINGS} expansions"
             )
         a, ga = m, gm
         m, gm = b, gb
@@ -158,7 +157,7 @@ def conjugate(
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     g1, g2 = g(x1), g(x2)
-    while b - a > argmax_tol * (1.0 + abs(a) + abs(b)):
+    while b - a > ARGMAX_TOL * (1.0 + abs(a) + abs(b)):
         if g1 < g2:
             a, x1, g1 = x1, x2, g2
             x2 = a + _GOLDEN * (b - a)

@@ -20,6 +20,7 @@ true value and the gap is measurable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,7 +88,7 @@ def _range_basis(D: np.ndarray, tol: float = 1e-11):
     return range_dt, ker_dt
 
 
-def fj_lagrangian_variational(model: JumpModel, alpha, tol: float = 1e-12, return_maximizer: bool = False):
+def fj_lagrangian_variational(model: JumpModel, alpha, tol: float = 1e-12) -> float:
     """Defining supremum over f, maximized by damped Newton ascent with
     backtracking on the quotient by ker(D) (adding constants to f changes
     nothing).  Raises NotInRange when alpha is not in range(D^T), where the
@@ -101,14 +102,14 @@ def fj_lagrangian_variational(model: JumpModel, alpha, tol: float = 1e-12, retur
     alpha = np.asarray(alpha, dtype=float)
     w = model.weights
     D = model.D
-    nu_ls, res, *_ = np.linalg.lstsq(D.T, alpha, rcond=None)
+    nu_ls, *_ = np.linalg.lstsq(D.T, alpha, rcond=None)
     resid = np.linalg.norm(D.T @ nu_ls - alpha)
     if resid > 1e-10 * (1.0 + np.linalg.norm(alpha)):
         raise NotInRange(f"alpha has range(D^T) residual {resid:.3e}")
 
     V, _ = _range_basis(D)
     if V.shape[1] == 0:
-        return (0.0, np.zeros(model.n)) if return_maximizer else 0.0
+        return 0.0
     DV = D @ V
     a_red = V.T @ alpha
 
@@ -139,10 +140,7 @@ def fj_lagrangian_variational(model: JumpModel, alpha, tol: float = 1e-12, retur
         z = z_next
     else:
         raise SolverNotConverged(f"variational Newton still moving after {_MAX_NEWTON_ITER} iterations")
-    value = float(a_red @ z - np.sum(w * np.exp(DV @ z) - w))
-    if return_maximizer:
-        return value, V @ z
-    return value
+    return float(a_red @ z - np.sum(w * np.exp(DV @ z) - w))
 
 
 def fj_lagrangian_dual(model: JumpModel, alpha, tol: float = 1e-12):
@@ -241,24 +239,33 @@ def fj_paper_closed_form(model: JumpModel, alpha) -> float:
     return float(np.sum(terms))
 
 
-def bernoulli_kl_vec(x, y):
-    """KL between spin marginals with means x and y, per site; vectorized.
-
-    Handles x = +-1 by 0 log 0 = 0; requires |y| < 1.  A NaN x gives NaN.
-    """
+def _elementwise(f, x):
+    """f, a function of one float, mapped over the entries of x: a float for
+    a 0-d x, else a float array of x's shape, each entry f(float(entry))."""
     x = np.asarray(x, dtype=float)
-    yp, ym = 0.5 * (1.0 + y), 0.5 * (1.0 - y)
+    if x.ndim == 0:
+        return f(float(x))
+    return np.array([f(v) for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
+
+
+def _kl_scalar(x: float, yp: float, ym: float) -> float:
+    """KL between spin marginals with means x and y, yp = (1+y)/2 and
+    ym = (1-y)/2, for one float x in [-1, 1].  0 log 0 = 0; a NaN x gives NaN."""
     xp, xm = 0.5 * (1.0 + x), 0.5 * (1.0 - x)
-    zero_or_nan = np.where(np.isnan(x), np.nan, 0.0)  # 0 log 0 = 0, NaN stays NaN
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tp = np.where(xp > 0, xp * np.log(np.where(xp > 0, xp, 1.0) / yp), zero_or_nan)
-        tm = np.where(xm > 0, xm * np.log(np.where(xm > 0, xm, 1.0) / ym), zero_or_nan)
-    out = tp + tm
-    return float(out) if out.ndim == 0 else out
+    # the NaN test runs off the log branch only
+    tp = xp * float(np.log(xp / yp)) if xp > 0 else (math.nan if math.isnan(xp) else 0.0)
+    tm = xm * float(np.log(xm / ym)) if xm > 0 else (math.nan if math.isnan(xm) else 0.0)
+    return tp + tm
+
+
+def bernoulli_kl_vec(x, y):
+    """_kl_scalar over the entries of x, per site; requires |y| < 1."""
+    yp, ym = 0.5 * (1.0 + y), 0.5 * (1.0 - y)
+    return _elementwise(lambda v: _kl_scalar(v, yp, ym), x)
 
 
 def product_lagrangian(x: float, y: float) -> float:
     """(1+x)/2 log((1+x)/(1+y)) + (1-x)/2 log((1-x)/(1-y))."""
     if abs(x) >= 1.0 or abs(y) >= 1.0:
         raise ValueError("|x| and |y| must be < 1")
-    return float(bernoulli_kl_vec(x, y))
+    return _kl_scalar(float(x), 0.5 * (1.0 + y), 0.5 * (1.0 - y))

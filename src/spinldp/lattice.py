@@ -12,6 +12,7 @@ window.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -24,7 +25,7 @@ from .coefficients import (
     empirical_average,
     evaluate_translations,
 )
-from .seeding import ordered_map, rng_from
+from .seeding import child_seed, ordered_map, rng_from
 from .errors import ConfigError, EmptyCell
 from . import kernels
 
@@ -96,10 +97,18 @@ class SpinConfiguration:
 
 
 def _window_offsets(dim: int, radius: int):
-    rng = range(-radius, radius + 1)
-    if dim == 1:
-        return [(o,) for o in rng]
-    return [(a, b) for a in rng for b in rng]
+    return list(itertools.product(range(-radius, radius + 1), repeat=dim))
+
+
+def _window_codes(spins: np.ndarray, offsets) -> np.ndarray:
+    """Flattened sum_k bit_k 2^k at every site, bit_k = 1 iff the spin at
+    site + offsets[k] (periodic) is +1."""
+    axes = tuple(range(spins.ndim))
+    codes = np.zeros(spins.shape, dtype=np.int64)
+    for k, o in enumerate(offsets):
+        bit = (np.roll(spins, shift=tuple(-x for x in o), axis=axes) + 1) // 2
+        codes |= bit.astype(np.int64) << k
+    return codes.ravel()
 
 
 @dataclass(frozen=True)
@@ -188,13 +197,7 @@ class LocalRateSpec:
         return self.table[self._codes(config)]
 
     def _codes(self, config: SpinConfiguration) -> np.ndarray:
-        spins = config.values
-        axes = tuple(range(spins.ndim))
-        codes = np.zeros(spins.shape, dtype=np.int64)
-        for k, o in enumerate(self.offsets):
-            bit = (np.roll(spins, shift=tuple(-x for x in o), axis=axes) + 1) // 2
-            codes |= bit.astype(np.int64) << k
-        return codes.ravel()
+        return _window_codes(config.values, self.offsets)
 
 
 @dataclass(frozen=True)
@@ -294,17 +297,8 @@ class EmpiricalStats:
 
     @staticmethod
     def window_codes(config: SpinConfiguration, depth: int) -> np.ndarray:
-        spins = config.values
-        axes = tuple(range(spins.ndim))
-        if config.dim == 1:
-            offs = [(o,) for o in range(depth)]
-        else:
-            offs = [(a, b) for a in range(depth) for b in range(depth)]
-        codes = np.zeros(spins.shape, dtype=np.int64)
-        for k, o in enumerate(offs):
-            bit = (np.roll(spins, shift=tuple(-x for x in o), axis=axes) + 1) // 2
-            codes |= bit.astype(np.int64) << k
-        return codes.ravel()
+        offsets = itertools.product(range(depth), repeat=config.dim)
+        return _window_codes(config.values, offsets)
 
     @staticmethod
     def from_configuration(config: SpinConfiguration, depth: int | None = None) -> "EmpiricalStats":
@@ -326,19 +320,21 @@ def _product_log_probs(dim: int, depth: int, y: float) -> np.ndarray:
     return ones * math.log(0.5 * (1.0 + y)) + (w - ones) * math.log(0.5 * (1.0 - y))
 
 
-def relative_entropy_density_estimate(sample: EmpiricalStats, y: float, depth: int | None = None) -> float:
+def _entropy_density(freq: np.ndarray, log_mu: np.ndarray, window_size: int) -> float:
+    """|W|^-1 sum_w freq(w) (log freq(w) - log_mu(w)), with 0 log 0 = 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(freq > 0, freq * (np.log(np.where(freq > 0, freq, 1.0)) - log_mu), 0.0)
+    return float(np.sum(terms)) / window_size
+
+
+def relative_entropy_density_estimate(sample: EmpiricalStats, y: float) -> float:
     """Per-site relative entropy of the sampled window marginal against the
     product measure with mean y:  |W|^-1 sum_w nu(w) log(nu(w)/mu_y(w)),
     with 0 log 0 = 0."""
-    if depth is not None and depth != sample.depth:
-        raise ValueError("depth does not match the sample")
     if abs(y) >= 1.0:
         raise EmptyCell("reference assigns zero probability to some pattern")
-    freq = sample.frequencies
     log_mu = _product_log_probs(sample.dim, sample.depth, y)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(freq > 0, freq * (np.log(np.where(freq > 0, freq, 1.0)) - log_mu), 0.0)
-    return float(np.sum(terms)) / sample.window_size
+    return _entropy_density(sample.frequencies, log_mu, sample.window_size)
 
 
 def bootstrap_entropy_se(config: SpinConfiguration, y: float, depth: int, B: int = 100, seed=0) -> float:
@@ -351,10 +347,7 @@ def bootstrap_entropy_se(config: SpinConfiguration, y: float, depth: int, B: int
     vals = np.empty(B)
     for b in range(B):
         resampled = codes[rng.integers(0, n, size=n)]
-        freq = np.bincount(resampled, minlength=2**w) / n
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(freq > 0, freq * (np.log(np.where(freq > 0, freq, 1.0)) - log_mu), 0.0)
-        vals[b] = np.sum(terms) / (depth**config.dim)
+        vals[b] = _entropy_density(np.bincount(resampled, minlength=2**w) / n, log_mu, w)
     return float(np.std(vals, ddof=1))
 
 
@@ -420,11 +413,9 @@ def nonlinear_generator_general(
 
 
 def _moment_worker(args):
-    (dim, side, rates_dict, times, obs_offsets, master_seed, replica) = args
-    rates = LocalRateSpec.from_dict(rates_dict)
+    (dim, side, rates, times, obs_offsets, master_seed, replica) = args
     config = SpinConfiguration.all_plus(dim, side)
-    seed = np.random.SeedSequence([int(master_seed), int(replica)])
-    snaps = glauber_trajectory(config, rates, times, seed)
+    snaps = glauber_trajectory(config, rates, times, child_seed(master_seed, replica))
     row = np.empty((len(times), len(obs_offsets)))
     for ti, snap in enumerate(snaps):
         for oi, offsets in enumerate(obs_offsets):
@@ -449,7 +440,7 @@ def moment_series(
     (master_seed, r) so the result is independent of worker count.
     """
     jobs = [
-        (dim, side, rates.to_dict(), list(times), [list(map(tuple, o)) for o in obs_offsets],
+        (dim, side, rates, list(times), [list(map(tuple, o)) for o in obs_offsets],
          master_seed, r)
         for r in range(replicas)
     ]

@@ -40,6 +40,8 @@ __all__ = [
 ]
 
 _LOG_FACT_CACHE = np.zeros(1)
+# mag_mc_pressure's number of bootstrap resamples.
+_BOOTSTRAP = 200
 
 
 def _log_factorials(n: int) -> np.ndarray:
@@ -262,9 +264,7 @@ def mag_constrained_pressure(lam: float, m: float, t: float) -> float:
     return float(0.5 * (1.0 + m) * plus + 0.5 * (1.0 - m) * minus)
 
 
-def mag_mc_pressure(
-    N: int, m0: float, t: float, lam: float, replicas: int, seed, bootstrap: int = 200
-):
+def mag_mc_pressure(N: int, m0: float, t: float, lam: float, replicas: int, seed):
     """Monte Carlo estimate of (1/N) log E[e^{lam sum_i s_i(t)}] with bootstrap SE.
 
     The dynamics marginal is sampled exactly: each spin's flip count over
@@ -282,8 +282,8 @@ def mag_mc_pressure(
     top = np.max(expo)
     est = (top + math.log(np.mean(np.exp(expo - top)))) / N
 
-    boots = np.empty(bootstrap)
-    for b in range(bootstrap):
+    boots = np.empty(_BOOTSTRAP)
+    for b in range(_BOOTSTRAP):
         idx = rng.integers(0, replicas, size=replicas)
         e = expo[idx]
         tp = np.max(e)

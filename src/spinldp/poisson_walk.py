@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import SeriesNotConverged
 from .io_utils import write_csv
-from .seeding import ordered_map, rng_from
+from .seeding import child_seed, ordered_map, rng_from
 
 __all__ = [
     "PoissonWalkParams",
@@ -93,8 +93,8 @@ class PiecewisePath:
         return float(self.values[-1])
 
 
-def pw_simulate(params: PoissonWalkParams, T: float, seed, x0: float = 0.0) -> PiecewisePath:
-    """Exact continuous-time path on [0, T].
+def pw_simulate(params: PoissonWalkParams, T: float, seed) -> PiecewisePath:
+    """Exact continuous-time path on [0, T] from 0.
 
     Forward and backward jumps are independent Poisson streams; the jump
     times are the order statistics of uniforms given the Poisson counts,
@@ -112,7 +112,7 @@ def pw_simulate(params: PoissonWalkParams, T: float, seed, x0: float = 0.0) -> P
     order = np.argsort(times, kind="stable")
     times = times[order]
     steps = steps[order]
-    values = x0 + np.concatenate([[0.0], np.cumsum(steps)])
+    values = np.concatenate([[0.0], np.cumsum(steps)])
     return PiecewisePath(
         times=np.concatenate([[0.0], times]), values=values, horizon=float(T)
     )
@@ -120,8 +120,7 @@ def pw_simulate(params: PoissonWalkParams, T: float, seed, x0: float = 0.0) -> P
 
 def _pw_replica(args):
     b, d, N, T, master_seed, r = args
-    return pw_simulate(PoissonWalkParams(b, d, N), T,
-                       np.random.SeedSequence([int(master_seed), int(r)]))
+    return pw_simulate(PoissonWalkParams(b, d, N), T, child_seed(master_seed, r))
 
 
 def pw_simulate_many(

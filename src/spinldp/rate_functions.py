@@ -8,9 +8,10 @@ Built-ins:
     height 0.  A mean-field stand-in for a low-temperature starting phase.
   * tabulated(grid, values): linear interpolation.
 
-bernoulli and double_well answer a plain float (or np.float64) on a scalar
-branch equal bit for bit to their 0-d array path: float + - * /, NumPy's log
-and arctanh, and m ** 2 through C pow as on a NumPy scalar.
+bernoulli and double_well are defined once, on one float: float + - * /,
+NumPy's log and arctanh, and m ** 2 through C pow.  An array (or anything
+else) is answered by mapping that same function over its entries, so every
+entry equals the float call bit for bit.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.optimize import brentq
 
-from .finite_jump import bernoulli_kl_vec
+from .finite_jump import _elementwise, _kl_scalar
 
 __all__ = ["RateFunctionSpec", "bernoulli_rate", "double_well_rate", "tabulated_rate"]
 
@@ -39,15 +40,6 @@ class RateFunctionSpec:
         return self.evaluator(m)
 
 
-def _kl_scalar(x: float, yp: float, ym: float) -> float:
-    """bernoulli_kl_vec(x, y) for one float x in [-1, 1] (or NaN), bit for bit."""
-    xp, xm = 0.5 * (1.0 + x), 0.5 * (1.0 - x)
-    # 0 log 0 = 0 and NaN stays NaN; the NaN test runs off the log branch only
-    tp = xp * float(np.log(xp / yp)) if xp > 0 else (math.nan if math.isnan(xp) else 0.0)
-    tm = xm * float(np.log(xm / ym)) if xm > 0 else (math.nan if math.isnan(xm) else 0.0)
-    return tp + tm
-
-
 def _arctanh_clipped(x: float) -> float:
     """arctanh(clip(x, -1, 1)) for one float, +-inf at the ends without a warning."""
     if x >= 1.0:
@@ -61,55 +53,41 @@ def bernoulli_rate(y: float) -> RateFunctionSpec:
     if not -1.0 < y < 1.0:
         raise ValueError("|y| must be < 1")
     yp, ym = 0.5 * (1.0 + y), 0.5 * (1.0 - y)
-
-    def ev(m):
-        if isinstance(m, float):
-            m = float(m)
-            return math.inf if abs(m) > 1.0 else _kl_scalar(m, yp, ym)
-        m = np.asarray(m, float)
-        out = bernoulli_kl_vec(np.clip(m, -1.0, 1.0), y)
-        return np.where(np.abs(m) > 1.0, np.inf, out) if np.ndim(out) else (math.inf if abs(float(m)) > 1 else out)
-
     ath_y = math.atanh(y)
 
+    def ev(m):
+        if not isinstance(m, float):
+            return _elementwise(ev, m)
+        m = float(m)
+        return math.inf if abs(m) > 1.0 else _kl_scalar(m, yp, ym)
+
     def dv(m):
-        if isinstance(m, float):
-            return _arctanh_clipped(float(m)) - ath_y
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.arctanh(np.clip(np.asarray(m, float), -1.0, 1.0)) - ath_y
+        if not isinstance(m, float):
+            return _elementwise(dv, m)
+        return _arctanh_clipped(float(m)) - ath_y
 
     return RateFunctionSpec("bernoulli", ev, dv, (y,), params=(y,))
-
-
-def _entropy0(m):
-    """bernoulli(0) rate, with the 0 log 0 = 0 endpoint convention."""
-    return bernoulli_kl_vec(m, 0.0)
 
 
 def double_well_rate(beta: float) -> RateFunctionSpec:
     if not beta > 1.0:
         raise ValueError("double well needs beta > 1")
     m_beta = brentq(lambda m: math.atanh(m) - beta * m, 1e-12, 1.0 - 1e-12)
-    shift = float(_entropy0(m_beta) - 0.5 * beta * m_beta * m_beta)
+    shift = _kl_scalar(m_beta, 0.5, 0.5) - 0.5 * beta * m_beta * m_beta
 
     def ev(m):
-        if isinstance(m, float):
-            m = float(m)
-            if abs(m) > 1.0:
-                return math.inf
-            return _kl_scalar(m, 0.5, 0.5) - 0.5 * beta * m ** 2 - shift
-        m = np.asarray(m, float)
-        inner = _entropy0(np.clip(m, -1.0, 1.0)) - 0.5 * beta * np.clip(m, -1.0, 1.0) ** 2 - shift
-        out = np.where(np.abs(m) > 1.0, np.inf, inner)
-        return out if out.ndim else float(out)
+        if not isinstance(m, float):
+            return _elementwise(ev, m)
+        m = float(m)
+        if abs(m) > 1.0:
+            return math.inf
+        return _kl_scalar(m, 0.5, 0.5) - 0.5 * beta * m ** 2 - shift
 
     def dv(m):
-        if isinstance(m, float):
-            m = float(m)
-            return _arctanh_clipped(m) - beta * m
-        m = np.asarray(m, float)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.arctanh(np.clip(m, -1.0, 1.0)) - beta * m
+        if not isinstance(m, float):
+            return _elementwise(dv, m)
+        m = float(m)
+        return _arctanh_clipped(m) - beta * m
 
     return RateFunctionSpec("double_well", ev, dv, (-m_beta, m_beta), params=(beta,))
 

@@ -1,23 +1,21 @@
 """Seed plumbing: every stochastic surface accepts an int, a sequence of
-ints, or a prebuilt SeedSequence, and derives replica streams as
-(master, index) so aggregation order and worker count never matter."""
+ints, or a prebuilt SeedSequence, and derives replica streams from an int
+master as SeedSequence([master, index]), so aggregation order and worker
+count never matter."""
 
 import numpy as np
 
 
-def seed_sequence(seed) -> np.random.SeedSequence:
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    return np.random.SeedSequence(seed)
-
-
 def rng_from(seed) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(seed_sequence(seed)))
+    """PCG64 seeded through SeedSequence(seed), or through seed itself when
+    it is a SeedSequence."""
+    return np.random.default_rng(seed)
 
 
-def child_seed(master, index: int) -> np.random.SeedSequence:
-    if isinstance(master, np.random.SeedSequence):
-        return master.spawn(index + 1)[index]
+def child_seed(master: int, index: int) -> np.random.SeedSequence:
+    """The stream of replica index under an int master seed.  A SeedSequence
+    master raises TypeError: spawning from it advances its counter, so the
+    same (master, index) would not give the same stream twice."""
     return np.random.SeedSequence([int(master), int(index)])
 
 

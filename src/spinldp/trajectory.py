@@ -42,6 +42,15 @@ __all__ = [
     "hamilton_flow_integrate",
 ]
 
+# _cg_minimize counts a step as a stall when it gains at most _FTOL * (1 + |f|).
+_FTOL = 1e-14
+# _clip_domain keeps profiles this far inside a finite domain edge.
+_DOMAIN_MARGIN = 1e-9
+# minimize_action_open_start's cluster set: minimizers within _CLUSTER_VALUE
+# of the global minimum whose starts are more than _CLUSTER_GAMMA0 apart.
+_CLUSTER_GAMMA0 = 1e-3
+_CLUSTER_VALUE = 1e-5
+
 
 @dataclass(frozen=True)
 class TrajectoryGrid:
@@ -161,7 +170,7 @@ def _line_search(fun_grad, x, f, g, d, gTd, a_init):
     return a, x + a * d, f_try, g_try
 
 
-def _cg_minimize(fun_grad, x0, max_iter=3000, gtol=1e-9, ftol=1e-14):
+def _cg_minimize(fun_grad, x0, max_iter, gtol):
     """Polak-Ribiere CG with interpolating line search; +inf is a hard wall.
 
     Returns (x, f) or None when x0 itself is infeasible.
@@ -205,7 +214,7 @@ def _cg_minimize(fun_grad, x0, max_iter=3000, gtol=1e-9, ftol=1e-14):
         x, f, g = x_new, f_new, g_new
         if float(np.max(np.abs(g))) <= gtol:
             break
-        if progress <= ftol * (1.0 + abs(f)):
+        if progress <= _FTOL * (1.0 + abs(f)):
             stall += 1
             if stall >= 3:
                 if restarted:
@@ -219,10 +228,10 @@ def _cg_minimize(fun_grad, x0, max_iter=3000, gtol=1e-9, ftol=1e-14):
     return x, f
 
 
-def _clip_domain(vals, domain, margin=1e-9):
+def _clip_domain(vals, domain):
     lo, hi = domain
-    lo = lo + margin if math.isfinite(lo) else lo
-    hi = hi - margin if math.isfinite(hi) else hi
+    lo = lo + _DOMAIN_MARGIN if math.isfinite(lo) else lo
+    hi = hi - _DOMAIN_MARGIN if math.isfinite(hi) else hi
     return np.clip(vals, lo, hi)
 
 
@@ -405,26 +414,23 @@ def _initial_momentum(model, traj):
 
 def minimize_action_open_start(
     problem: ActionProblem,
-    steps: int | None = None,
+    steps: int,
     seed: int = 0,
     max_iter: int = 2000,
     gtol: float = 1e-9,
-    cluster_gamma0: float = 1e-3,
-    cluster_value: float = 1e-5,
 ):
     """Minimize I(gamma_0) + action over the start point and interior values.
 
     Returns (best trajectory, best value, minimizers) where minimizers is
-    the cluster set of distinct local minimizers within cluster_value of the
-    global minimum.  Each reported minimizer carries its extrapolated
-    initial momentum and the transversality residual |p(0) - I'(gamma_0)|,
-    the stationarity condition of the free-start variation.
+    the cluster set of distinct local minimizers within _CLUSTER_VALUE of the
+    global minimum, with starts more than _CLUSTER_GAMMA0 apart.  Each
+    reported minimizer carries its extrapolated initial momentum and the
+    transversality residual |p(0) - I'(gamma_0)|, the stationarity
+    condition of the free-start variation.
     """
     if not isinstance(problem.start, OpenStart):
         raise ValueError("minimize_action_open_start needs an OpenStart problem")
     T = problem.horizon
-    if steps is None:
-        steps = max(240, int(math.ceil(T / 0.005)))
     rate = problem.start.rate_function
     found = []
     for path, value in _minimize(problem, steps, seed, max_iter, gtol):
@@ -437,9 +443,9 @@ def minimize_action_open_start(
     best = found[0]
     cluster: list[OpenMinimizer] = []
     for r in found:
-        if r.value > best.value + cluster_value:
+        if r.value > best.value + _CLUSTER_VALUE:
             break
-        if all(abs(r.gamma0 - c.gamma0) > cluster_gamma0 for c in cluster):
+        if all(abs(r.gamma0 - c.gamma0) > _CLUSTER_GAMMA0 for c in cluster):
             cluster.append(r)
     return best.traj, best.value, cluster
 

@@ -305,7 +305,7 @@ CRITERIA = {
 }
 
 
-def run_criteria(indices=None, cfg=None, workers: int = 1, echo=print):
+def run_criteria(indices=None, cfg=None, workers: int = 1):
     merged = dict(DEFAULTS)
     if cfg:
         merged.update(cfg)
@@ -314,7 +314,6 @@ def run_criteria(indices=None, cfg=None, workers: int = 1, echo=print):
     for i in indices:
         res = CRITERIA[i](merged, workers=workers)
         results.append(res)
-        if echo:
-            echo(f"{'PASS' if res.passed else 'FAIL'} {res.index:2d} {res.name}: "
-                 f"{res.detail} [{res.elapsed:.1f}s]")
+        print(f"{'PASS' if res.passed else 'FAIL'} {res.index:2d} {res.name}: "
+              f"{res.detail} [{res.elapsed:.1f}s]")
     return results

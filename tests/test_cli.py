@@ -230,5 +230,40 @@ def test_verify_subset_cli(tmp_path, capsys):
 
 def test_verify_rejects_unknown_criteria(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"seed": 1, "criteria": [2, 99]}))
-    assert run(["verify", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
+    for criteria in ([2, 99], ["x"], 3):
+        cfg.write_text(json.dumps({"seed": 1, "criteria": criteria}))
+        assert run(["verify", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
+        assert "criteria:" in capsys.readouterr().err
+
+
+SCAN = {"seed": 1, "rate_function": {"kind": "bernoulli", "params": [0.5]},
+        "T_grid": [0.5], "mT_grid": [0.0]}
+LATTICE = {"seed": 3, "dim": 1, "side": 21, "times": [0.5], "replicas": 2,
+           "rates": {"kind": "constant", "dim": 1, "value": 1.0}, "observables": [[[0]]]}
+
+
+@pytest.mark.parametrize("command, cfg, field", [
+    ("mag-rate", {"seed": 7, "m0": 0.5, "T": 0.5, "mT": 0.0, "steps": "many",
+                  "N_list": [200]}, "steps:"),
+    ("mag-rate", {"seed": 7, "m0": 0.5, "T": 0.5, "mT": 0.0, "N_list": ["a"]}, "N_list:"),
+    ("mag-bvp", {"m0": 0.5, "mT": 0.0, "T": 1.0, "steps": "many"}, "steps:"),
+    ("pw-rate", {"b": 2.0, "d": 1.0, "t": 1.0, "a": 1.0, "N_list": [50, None]}, "N_list:"),
+    ("scan-bad", {**SCAN, "T_grid": ["a"]}, "T_grid:"),
+    ("scan-bad", {**SCAN, "solver": []}, "solver:"),
+    ("scan-bad", {**SCAN, "solver": {"max_iter": "800"}}, "solver.max_iter:"),
+    ("scan-bad", {**SCAN, "solver": {"dt_target": 0.0}}, "solver.dt_target:"),
+    ("scan-bad", {**SCAN, "epsilon": "0.1"}, "epsilon:"),
+    ("scan-bad", {**SCAN, "delta": None}, "delta:"),
+    ("fd-lagrangian", {"D": [[-2.0, 2.0], [2.0, "x"]], "c": [1.0, 1.0], "mu": [0.75, 0.25],
+                       "alpha": [0.0, 0.0]}, "D:"),
+    ("lattice-sim", {**LATTICE, "observables": [[0]]}, "observables:"),
+    ("lattice-sim", {**LATTICE, "rates": {"kind": "constant", "dim": 1, "value": 1.0,
+                                          "radius": "one"}}, "rates.radius:"),
+    ("lattice-sim", {**LATTICE, "rates": {"kind": "random", "dim": 1, "radius": 1, "seed": 2,
+                                          "lo": "low"}}, "rates.lo:"),
+])
+def test_invalid_config_value_exits_2(tmp_path, capsys, command, cfg, field):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run([command, str(path), "--out-dir", str(tmp_path / "o")]) == 2
+    assert field in capsys.readouterr().err

@@ -1,11 +1,10 @@
-"""The scalar branch of the built-in rate functions against their 0-d path.
+"""The float definition of the built-in rate functions against their
+array views.
 
 fun_grad calls evaluator and derivative with one Python float per objective
-evaluation.  Every open-start solve depends on that branch returning exactly
-what the 0-d array path returns, so the comparison is == on float64, never a
-tolerance.  The reference is the 0-d path, not the vector path: the double
-well's vector path squares with a multiply, its 0-d path with C pow, and the
-two already differ in the last bit on a few inputs.
+evaluation; a 0-d or vector argument maps that same float function over its
+entries.  A grid of I must equal the objective's I bit for bit, so every
+comparison is on the float64 bits, never a tolerance.
 """
 
 import hashlib
@@ -38,6 +37,11 @@ def test_scalar_branch_equals_0d_path(kind, which):
         got = np.array(out)
         assert (got == ref).all(), xs[got != ref][:5]
         assert (np.signbit(got) == np.signbit(ref)).all()
+    vec = fn(xs)
+    assert vec.shape == xs.shape
+    assert (vec.view(np.uint64) == ref.view(np.uint64)).all(), xs[vec != ref][:5]
+    grid = fn(xs[:12].reshape(3, 4))
+    assert (grid.ravel().view(np.uint64) == ref[:12].view(np.uint64)).all()
 
 
 def test_scalar_branch_edge_values():
