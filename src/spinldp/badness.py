@@ -35,6 +35,7 @@ from .trajectory import (
     OpenStart,
     minimize_action_fixed,
     minimize_action_open_start,
+    minimize_action_open_starts,
 )
 
 __all__ = [
@@ -122,13 +123,13 @@ def is_bad(
     """Two-sided branch-selection detector.
 
     The perturbed endpoints mT + delta 2^-n and mT - delta 2^-n are solved
-    for every level n = 0.._N_LEVELS-1, and the start of each global
-    minimizer is recorded in diagnostics["plus_branch"] and
-    ["minus_branch"].  Only the last level enters the verdict: True iff
-    M*(mT) has >= 2 elements, the two last-level selections are nearest to
-    two distinct elements of M*, and they are more than epsilon apart.  The
-    earlier levels are not checked for convergence.  Always returns
-    (flag, diagnostics).
+    for every level n = 0.._N_LEVELS-1, all ten in one lockstep batch (each
+    result equals its solve alone), and the start of each global minimizer
+    is recorded in diagnostics["plus_branch"] and ["minus_branch"].  Only
+    the last level enters the verdict: True iff M*(mT) has >= 2 elements,
+    the two last-level selections are nearest to two distinct elements of
+    M*, and they are more than epsilon apart.  The earlier levels are not
+    checked for convergence.  Always returns (flag, diagnostics).
     """
     model = model if model is not None else mag_model()
     if minimizers is None:
@@ -142,11 +143,14 @@ def is_bad(
     if len(minimizers) < 2:
         return False, diag
 
-    for n in range(_N_LEVELS):
-        d = delta * 2.0**-n
-        for sign, key in ((+1.0, "plus_branch"), (-1.0, "minus_branch")):
-            sel = optimal_initials(I, mT + sign * d, T, opts=opts, model=model)
-            diag[key].append(sel[0].gamma0 if sel else math.nan)
+    start = OpenStart(I)
+    ends = [mT + sign * (delta * 2.0**-n) for n in range(_N_LEVELS) for sign in (+1.0, -1.0)]
+    solves = minimize_action_open_starts(
+        [ActionProblem(model, start, end, T) for end in ends],
+        steps=opts.steps_for(T), seed=opts.seed, max_iter=opts.max_iter, gtol=opts.gtol,
+    )
+    for k, (_, _, sel) in enumerate(solves):
+        diag["minus_branch" if k % 2 else "plus_branch"].append(sel[0].gamma0)
 
     g_star = np.array([m.gamma0 for m in minimizers])
     plus = diag["plus_branch"][-1]

@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -66,6 +67,21 @@ def _number_or(cfg, field, default, lo=None, hi=None, where=""):
     return _need_number(cfg, field, lo, hi, where)
 
 
+def _need_int(cfg, field, lo=None, hi=None, where=""):
+    """_need_number for a count: an integral value (3 or 3.0), returned as int."""
+    v = _need_number(cfg, field, lo, hi, where)
+    if not v.is_integer():
+        raise ConfigError(f"{where}{field}: expected an integer, got {cfg[field]!r}")
+    return int(v)
+
+
+def _int_or(cfg, field, default, lo=None, hi=None, where=""):
+    """_need_int for an optional field: default when it is absent."""
+    if field not in cfg:
+        return default
+    return _need_int(cfg, field, lo, hi, where)
+
+
 def _need_seed(cfg):
     if "seed" not in cfg:
         raise ConfigError("seed: a master seed is mandatory for stochastic commands")
@@ -87,9 +103,9 @@ def _grid(spec, where):
             raise ConfigError(f"{where}: expected numbers, got {bad[0]!r}")
         return [float(x) for x in spec]
     if isinstance(spec, dict):
-        start = _need_number(spec, "start", where=where)
-        stop = _need_number(spec, "stop", where=where)
-        num = int(_need_number(spec, "num", lo=1, where=where))
+        start = _need_number(spec, "start", where=where + ".")
+        stop = _need_number(spec, "stop", where=where + ".")
+        num = _need_int(spec, "num", lo=1, where=where + ".")
         if spec.get("log"):
             if start <= 0 or stop <= 0:
                 raise ConfigError(f"{where}: log grid needs positive endpoints")
@@ -101,27 +117,52 @@ def _grid(spec, where):
 def _rates_from_config(spec, where="rates"):
     kind = _need(spec, "kind", str, where + ".")
     if kind == "constant":
-        dim = int(_need_number(spec, "dim", lo=1, hi=2, where=where + "."))
+        dim = _need_int(spec, "dim", lo=1, hi=2, where=where + ".")
         return lat.LocalRateSpec.constant(
             _need_number(spec, "value", lo=1e-12, where=where + "."), dim,
-            int(_number_or(spec, "radius", 0, lo=0, where=where + ".")))
+            _int_or(spec, "radius", 0, lo=0, where=where + "."))
     if kind == "table":
         return lat.LocalRateSpec.from_dict(spec)
     if kind == "random":
-        dim = int(_need_number(spec, "dim", lo=1, hi=2, where=where + "."))
+        dim = _need_int(spec, "dim", lo=1, hi=2, where=where + ".")
         return lat.LocalRateSpec.random_table(
-            dim, int(_need_number(spec, "radius", lo=0, where=where + ".")),
-            int(_need_number(spec, "seed", where=where + ".")),
+            dim, _need_int(spec, "radius", lo=0, where=where + "."),
+            _need_int(spec, "seed", where=where + "."),
             _number_or(spec, "lo", 0.2, lo=1e-12, where=where + "."),
             _number_or(spec, "hi", 5.0, lo=1e-12, where=where + "."))
     raise ConfigError(f"{where}.kind: unknown kind {kind!r}")
 
 
-def _n_list(cfg):
-    n_list = [int(n) for n in _grid(_need(cfg, "N_list", list), "N_list")]
-    if not n_list or any(n < 1 for n in n_list):
-        raise ConfigError("N_list: need positive integers")
-    return n_list
+def _n_list(cfg, field="N_list"):
+    n_list = _grid(_need(cfg, field, list), field)
+    if not n_list or any(n < 1 or not n.is_integer() for n in n_list):
+        raise ConfigError(f"{field}: need positive integers, got {cfg[field]!r}")
+    return [int(n) for n in n_list]
+
+
+def _sides(cfg, field):
+    """Torus sides for the finite-size fit: odd, >= 3, at least two distinct."""
+    sides = [_odd_side(s, field) for s in _need(cfg, field, list)]
+    if len(set(sides)) < 2:
+        raise ConfigError(f"{field}: the scaling fit needs at least two distinct sides, "
+                          f"got {sides}")
+    return sides
+
+
+# verify's overrides of verification.DEFAULTS (all but the seed), each
+# checked before any criterion runs.
+_VERIFY_FIELDS = {
+    "c2_samples": partial(_need_int, lo=1),
+    "c3_N_list": _n_list,
+    "c5_instances": partial(_need_int, lo=1),
+    "c6_sides": _sides,
+    "c7_models": partial(_need_int, lo=1),
+    "c9_replicas": partial(_need_int, lo=2),  # a bootstrap SE needs two
+    "c10_T_points": partial(_need_int, lo=2),  # the column needs a first and a last T
+    "c10_scan_points": partial(_need_int, lo=1),
+    "c11_replicas": partial(_need_int, lo=2),  # a standard error needs two
+    "c11_side": lambda cfg, f: _odd_side(_need(cfg, f, (int, float)), f),
+}
 
 
 @command("pw-rate")
@@ -144,7 +185,7 @@ def cmd_mag_rate(cfg, out_dir, workers):
     m0 = _need_number(cfg, "m0", lo=-1.0, hi=1.0)
     mT = _need_number(cfg, "mT", lo=-1.0, hi=1.0)
     T = _need_number(cfg, "T", lo=1e-9)
-    steps = int(_number_or(cfg, "steps", 400, lo=1))
+    steps = _int_or(cfg, "steps", 400, lo=1)
     n_list = _n_list(cfg)
     model = mag.mag_model()
     problem = tr.ActionProblem(model, tr.FixedStart(m0), mT, T)
@@ -166,7 +207,7 @@ def cmd_mag_bvp(cfg, out_dir, workers):
     m0 = _need_number(cfg, "m0", lo=-1.0, hi=1.0)
     mT = _need_number(cfg, "mT", lo=-1.0, hi=1.0)
     T = _need_number(cfg, "T", lo=1e-9)
-    steps = int(_number_or(cfg, "steps", 2000, lo=1))
+    steps = _int_or(cfg, "steps", 2000, lo=1)
     c1, c2, path = mag.mag_extremal(m0, mT, T)
     times = np.linspace(0.0, T, steps + 1)
     values = path(times)
@@ -230,8 +271,8 @@ def cmd_scan_bad(cfg, out_dir, workers):
     solver = _need(cfg, "solver", dict) if "solver" in cfg else {}
     opts = bd.SolverOpts(
         dt_target=_number_or(solver, "dt_target", 0.02, lo=1e-12, where="solver."),
-        min_steps=int(_number_or(solver, "min_steps", 100, lo=1, where="solver.")),
-        max_iter=int(_number_or(solver, "max_iter", 800, lo=1, where="solver.")),
+        min_steps=_int_or(solver, "min_steps", 100, lo=1, where="solver."),
+        max_iter=_int_or(solver, "max_iter", 800, lo=1, where="solver."),
         gtol=_number_or(solver, "gtol", 1e-8, lo=0.0, where="solver."),
     )
     result = bd.badness_scan(
@@ -248,13 +289,13 @@ def cmd_scan_bad(cfg, out_dir, workers):
 @command("lattice-sim")
 def cmd_lattice_sim(cfg, out_dir, workers):
     seed = _need_seed(cfg)
-    dim = int(_need_number(cfg, "dim", lo=1, hi=2))
+    dim = _need_int(cfg, "dim", lo=1, hi=2)
     side = _odd_side(_need(cfg, "side", (int, float)), "side")
     rates = _rates_from_config(_need(cfg, "rates", dict))
     times = sorted(_grid(_need(cfg, "times", (list, dict)), "times"))
     if not times or times[0] < 0:
         raise ConfigError(f"times: need at least one checkpoint, all >= 0, got {times}")
-    replicas = int(_need_number(cfg, "replicas", lo=1))
+    replicas = _need_int(cfg, "replicas", lo=1)
     obs = _need(cfg, "observables", list)
     try:
         obs_offsets = [[tuple(int(x) for x in o) for o in A] for A in obs]
@@ -290,12 +331,9 @@ def cmd_lattice_check(cfg, out_dir, workers):
     merged = dict(DEFAULTS)
     merged["seed"] = seed
     if "instances" in cfg:
-        merged["c5_instances"] = int(_need_number(cfg, "instances", lo=1))
+        merged["c5_instances"] = _need_int(cfg, "instances", lo=1)
     if "sides" in cfg:
-        merged["c6_sides"] = [_odd_side(s, "sides") for s in _need(cfg, "sides", list)]
-        if len(set(merged["c6_sides"])) < 2:
-            raise ConfigError(f"sides: the scaling fit needs at least two distinct sides, "
-                              f"got {merged['c6_sides']}")
+        merged["c6_sides"] = _sides(cfg, "sides")
     r5 = criterion_5(merged)
     r6 = criterion_6(merged)
     out = {
@@ -313,7 +351,7 @@ def cmd_verify(cfg, out_dir, workers):
     from .verification import CRITERIA, DEFAULTS, run_criteria
 
     seed = _need_seed(cfg) if "seed" in cfg else DEFAULTS["seed"]
-    merged = {k: v for k, v in cfg.items() if k in DEFAULTS}
+    merged = {k: check(cfg, k) for k, check in _VERIFY_FIELDS.items() if k in cfg}
     merged["seed"] = seed
     indices = cfg.get("criteria")
     if indices is not None:

@@ -84,13 +84,20 @@ def mag_lagrangian(m: float, q: float) -> float:
     """
     if isinstance(m, float) and isinstance(q, float) and -1.0 < m < 1.0:
         m, q = float(m), float(q)
-        r = math.sqrt(q * q + 4.0 * (1.0 - m * m))
-        u = (q + r) / (2.0 * (1.0 - m)) if q >= 0 else (2.0 * (1.0 + m)) / (r - q)
+        r, u = _ratio_scalar(m, q)
         if 0.0 < u < math.inf:
             val = 0.5 * q * float(np.log(u)) - 0.5 * r + 1.0
             if math.isfinite(val):
                 return val
     return float(mag_lagrangian_vec(np.asarray(m, float), np.asarray(q, float)))
+
+
+def _ratio_scalar(m: float, q: float):
+    """(R, u) of _ratio_log for one float pair: the same float operations in
+    the same order, math.sqrt (correctly rounded, like np.sqrt) and the same
+    choice of ratio by the sign test q >= 0.  q * q may overflow to inf."""
+    r = math.sqrt(q * q + 4.0 * (1.0 - m * m))
+    return r, (q + r) / (2.0 * (1.0 - m)) if q >= 0 else (2.0 * (1.0 + m)) / (r - q)
 
 
 def _ratio_log(m, q):
@@ -100,10 +107,12 @@ def _ratio_log(m, q):
     For q >= 0 the direct ratio (q+R)/(2(1-m)) is cancellation-free; for
     q < 0 the equivalent ratio 2(1+m)/(R-q) is used, which also produces the
     correct one-sided limits at m = +-1.  Call it under
-    np.errstate(divide="ignore", invalid="ignore").
+    np.errstate(divide="ignore", invalid="ignore", over="ignore"): for
+    |q| above about 1.34e154, q * q overflows and R is +inf, which
+    _boundary_cases repairs.
     """
     m, q = np.asarray(m, dtype=float), np.asarray(q, dtype=float)
-    if not (m.ndim == q.ndim == 1 and len(m) == len(q)):
+    if m.shape != q.shape:
         m, q = np.broadcast_arrays(m, q)
     r = np.sqrt(q * q + 4.0 * (1.0 - m * m))
     u = np.where(q >= 0, (q + r) / (2.0 * (1.0 - m)), (2.0 * (1.0 + m)) / (r - q))
@@ -125,8 +134,25 @@ def _lagrangian_value(m, q, r, log_u):
     return _boundary_cases(m, q, val)
 
 
+def _scaled_value(m, q):
+    """L from R / |q| and log u split as log|q| + log(ratio / |q|).
+
+    The form for the nodes where q * q overflows: the closed form itself is
+    finite there, about (|q|/2)(log(|q|/(1 -+ m)) - 1) + 1 for q >< 0.
+    """
+    s = np.abs(q)
+    rs = np.sqrt(1.0 + (4.0 * (1.0 - m * m) / s) / s)
+    log_u = np.where(q >= 0, np.log(s) + np.log((1.0 + rs) / (2.0 * (1.0 - m))),
+                     np.log(2.0 * (1.0 + m) / (1.0 + rs)) - np.log(s))
+    return 0.5 * q * log_u - 0.5 * (s * rs) + 1.0
+
+
 def _boundary_cases(m, q, val):
-    """Limits and infeasibility: the q = 0, |m| >= 1 and NaN corrections of val."""
+    """Limits and infeasibility: the q = 0, |m| >= 1 and NaN corrections of
+    val, after the nodes whose q * q overflowed are recomputed in scaled form."""
+    overflow = np.isinf(q * q)
+    if overflow.any():
+        val = np.where(overflow, _scaled_value(m, q), val)
     # q = 0 and boundary corner cases: vanishing velocity costs 1 - sqrt(1-m^2)
     val = np.where(q == 0, 1.0 - np.sqrt(np.maximum(1.0 - m * m, 0.0)), val)
     # infeasible: moving up at m=1 or down at m=-1 (log ratio diverges with q*log -> +inf)
@@ -139,7 +165,7 @@ def _boundary_cases(m, q, val):
 
 def mag_lagrangian_vec(m, q):
     """Vectorized closed form, stable on both velocity signs (see _ratio_log)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         m, q, r, _, log_u = _ratio_log(m, q)
         val = _lagrangian_value(m, q, r, log_u)
     if val.ndim == 0:
@@ -148,8 +174,17 @@ def mag_lagrangian_vec(m, q):
 
 
 def mag_momentum(m, q):
-    """dL/dq: the optimal conjugate momentum p*(m, q) = (1/2) log ratio."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    """dL/dq: the optimal conjugate momentum p*(m, q) = (1/2) log ratio.
+
+    Two plain floats (or np.float64) with |m| < 1 and a finite positive
+    ratio take the scalar branch of mag_lagrangian (_ratio_scalar), bit for
+    bit equal to the 0-d array path; every other input takes that path.
+    """
+    if isinstance(m, float) and isinstance(q, float) and -1.0 < m < 1.0:
+        _, u = _ratio_scalar(float(m), float(q))
+        if 0.0 < u < math.inf:
+            return 0.5 * float(np.log(u))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return 0.5 * _ratio_log(m, q)[4]
 
 
@@ -297,13 +332,15 @@ def mag_value_and_partials(m, q):
     With u = e^{2 p*}: dL/dv = p* = log(u)/2 and dL/dm = sinh(2 p*)
     = (u - 1/u)/2 by the envelope identity.
 
-    Two 1-d arrays of one length are used as they are; anything else is
-    broadcast first.  The boundary chain (q = 0, |m| >= 1, NaN -> +inf)
-    runs only when some node has |m| >= 1 or a non-finite value; on the
-    other nodes, q = 0 included, it would change no bit, so the common
-    call of an action solve skips it.
+    Two arrays of one shape, 1-d or a 2-d batch of paths, are used as
+    they are; anything else is broadcast first.  Every operation is
+    elementwise, so row i of a batch equals the call on row i bit for bit.
+    The boundary chain (q = 0, |m| >= 1, NaN -> +inf) runs only when some
+    node has |m| >= 1 or a non-finite value; on the other nodes, q = 0
+    included, it would change no bit, so the common call of an action
+    solve skips it.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         m, q, r, u, log_u = _ratio_log(m, q)
         return _lagrangian_value(m, q, r, log_u), 0.5 * (u - 1.0 / u), 0.5 * log_u
 

@@ -16,6 +16,14 @@ Hessian conditioning grows like steps^2; CG keeps the same first-order,
 line-searched structure and converges in O(steps) iterations.  A fixed
 start is solved as the open-start problem with its first node pinned and
 no static cost, so both entry points share one objective and one solve loop.
+
+The solver is a generator that yields each point it needs evaluated, and
+one loop (_lockstep) advances every start profile of a solve in
+lockstep, with one objective call per round on a (rows x nodes) batch.
+Problems that differ only in their end point share a batch too: the ten
+branch endpoints of badness.is_bad run as one (minimize_action_open_starts).
+The model's evaluator is elementwise, so every row's result equals its
+solve alone bit for bit; a single solve is the batch of one.
 """
 
 from __future__ import annotations
@@ -38,6 +46,7 @@ __all__ = [
     "action_integral",
     "minimize_action_fixed",
     "minimize_action_open_start",
+    "minimize_action_open_starts",
     "euler_lagrange_residual",
     "hamilton_flow_integrate",
 ]
@@ -138,14 +147,15 @@ def action_integral(model: LagrangianModel, traj: TrajectoryGrid) -> float:
     return float(traj.dt * np.sum(integrand))
 
 
-def _line_search(fun_grad, x, f, g, d, gTd, a_init):
+def _line_search(x, f, g, d, gTd, a_init):
     """Armijo backtracking with quadratic interpolation and one vertex polish.
 
-    Infinite trial values shrink the step (feasible-region handling).
-    Returns (a, x_new, f_new, g_new) or None.
+    A generator: it yields each trial point and is sent back its
+    (value, gradient).  Infinite trial values shrink the step
+    (feasible-region handling).  Returns (a, x_new, f_new, g_new) or None.
     """
     a = a_init
-    f_try, g_try = fun_grad(x + a * d)
+    f_try, g_try = yield x + a * d
     tries = 0
     while tries < 70 and (math.isinf(f_try) or f_try > f + 1e-4 * a * gTd):
         if math.isinf(f_try):
@@ -155,7 +165,7 @@ def _line_search(fun_grad, x, f, g, d, gTd, a_init):
             denom = 2.0 * (f_try - f - gTd * a)
             a_q = -gTd * a * a / denom if denom > 0 else 0.5 * a
             a = min(max(a_q, 0.1 * a), 0.5 * a)
-        f_try, g_try = fun_grad(x + a * d)
+        f_try, g_try = yield x + a * d
         tries += 1
     if math.isinf(f_try) or f_try > f + 1e-4 * a * gTd:
         return None
@@ -164,19 +174,21 @@ def _line_search(fun_grad, x, f, g, d, gTd, a_init):
     if denom > 0:
         a_q = -gTd * a * a / denom
         if 0.0 < a_q:
-            f_q, g_q = fun_grad(x + a_q * d)
+            f_q, g_q = yield x + a_q * d
             if not math.isinf(f_q) and f_q < f_try:
                 a, f_try, g_try = a_q, f_q, g_q
     return a, x + a * d, f_try, g_try
 
 
-def _cg_minimize(fun_grad, x0, max_iter, gtol):
+def _cg_minimize(x0, max_iter, gtol):
     """Polak-Ribiere CG with interpolating line search; +inf is a hard wall.
 
-    Returns (x, f) or None when x0 itself is infeasible.
+    A generator like _line_search: it yields every point it needs evaluated
+    and is sent back (value, gradient); _lockstep drives it.  Returns
+    (x, f), or None when x0 itself is infeasible.
     """
     x = np.array(x0, dtype=float)
-    f, g = fun_grad(x)
+    f, g = yield x
     if math.isinf(f):
         return None
     d = -g
@@ -196,8 +208,8 @@ def _cg_minimize(fun_grad, x0, max_iter, gtol):
             a0 = min(1.0, 2.02 * (f_prev - f) / (-gTd)) if f_prev > f else (alpha or 1.0)
             a0 = a0 if a0 > 0 else 1.0
         else:
-            a0 = 1.0 / (1.0 + float(np.max(np.abs(g))))
-        ls = _line_search(fun_grad, x, f, g, d, gTd, a0)
+            a0 = 1.0 / (1.0 + float(np.abs(g).max()))
+        ls = yield from _line_search(x, f, g, d, gTd, a0)
         if ls is None:
             if restarted:
                 break
@@ -212,7 +224,7 @@ def _cg_minimize(fun_grad, x0, max_iter, gtol):
         progress = f - f_new
         f_prev = f
         x, f, g = x_new, f_new, g_new
-        if float(np.max(np.abs(g))) <= gtol:
+        if float(np.abs(g).max()) <= gtol:
             break
         if progress <= _FTOL * (1.0 + abs(f)):
             stall += 1
@@ -226,6 +238,32 @@ def _cg_minimize(fun_grad, x0, max_iter, gtol):
             stall = 0
             restarted = False
     return x, f
+
+
+def _lockstep(fun_grad, starts, tails, max_iter, gtol):
+    """One _cg_minimize per row of starts, all advanced in lockstep.
+
+    Each round stacks the pending point of every live solver into one
+    (rows x nodes) array, makes one fun_grad(points, tails) call and sends
+    each solver its row.  A solver's arithmetic only ever sees its own rows,
+    so every result equals the solve of that row alone.  Returns the
+    _cg_minimize results in row order.
+    """
+    solvers = [_cg_minimize(z, max_iter, gtol) for z in starts]
+    points = [next(s) for s in solvers]
+    results = [None] * len(solvers)
+    live = list(range(len(solvers)))
+    while live:
+        values, grads = fun_grad(np.array([points[i] for i in live]), tails[live])
+        still = []
+        for i, f, g in zip(live, values, grads):
+            try:
+                points[i] = solvers[i].send((f, g))
+                still.append(i)
+            except StopIteration as stop:
+                results[i] = stop.value
+        live = still
+    return results
 
 
 def _clip_domain(vals, domain):
@@ -314,62 +352,92 @@ def _start_profiles(model, start, mT, T, steps, rng):
     return out
 
 
-def _objective(value_and_partials, dt, mT, head, rate):
-    """fun_grad(z) -> (value, gradient) over the free nodes z of a path ending at mT.
+def _objective(value_and_partials, dt, head, rate):
+    """fun_grad(Z, tails) -> (values, gradients) over a batch of paths.
 
-    The path is head + z + [mT].  A fixed start passes head = [m0], a pinned
-    first node, and rate = None.  An open start passes an empty head, so z
-    starts with the free first node, whose static cost rate.evaluator is
-    added to the action.  Any infinite or NaN integrand makes the value +inf.
+    Row i is the path head + Z[i] + [tails[i]], and its value and gradient
+    over the free nodes Z[i] are those of that path alone.  A fixed start
+    passes head = [m0], a pinned first node, and rate = None.  An open start
+    passes an empty head, so each row starts with its free first node, whose
+    static cost rate.evaluator is added to the action.  Any infinite or NaN
+    integrand, or an infinite static cost, makes the row's value +inf (the
+    solver then never reads its gradient).  values is a list of floats,
+    gradients a (rows x free nodes) array.
 
-    rate.evaluator and rate.derivative are called with one Python float, the
-    first node, and must return a float (or a NumPy scalar); the built-in
-    rate functions answer it on a scalar branch, bit for bit equal to their
-    0-d array path.
+    value_and_partials is called once on the (rows x nodes) batch; it must
+    be elementwise, so row i equals the 1-d call on row i bit for bit.
+    rate.evaluator and rate.derivative are called with one Python float per
+    row, the first node, and must return a float (or a NumPy scalar); the
+    built-in rate functions are defined on that float.
     """
     head = np.asarray(head, dtype=float)
-    tail = np.array([mT], dtype=float)
+    h = len(head)
 
-    def fun_grad(z):
-        full = np.concatenate((head, z, tail))
-        x = full[:-1]
-        integ, gx, gv = value_and_partials(x, (full[1:] - x) / dt)
-        x0 = float(full[0])
-        i0 = 0.0 if rate is None else float(rate.evaluator(x0))
-        if not np.isfinite(integ).all() or math.isinf(i0):
-            return math.inf, np.zeros_like(z)
-        action = float(dt * np.sum(integ))
+    def fun_grad(Z, tails):
+        rows = len(Z)
+        full = np.empty((rows, h + Z.shape[1] + 1))
+        full[:, :h] = head
+        full[:, h:-1] = Z
+        full[:, -1] = tails
+        x = full[:, :-1]
+        integ, gx, gv = value_and_partials(x, (full[:, 1:] - x) / dt)
+        ok = np.isfinite(integ).all(axis=1)
+        if not ok.all():
+            # zero the infeasible rows so no inf - inf reaches the arithmetic
+            keep = ok[:, None]
+            integ, gx, gv = (np.where(keep, a, 0.0) for a in (integ, gx, gv))
+        actions = (dt * integ.sum(axis=1)).tolist()
         # node i >= 1: dt * L_x(i) + L_v(i-1) - L_v(i), in that order
         grad = dt * gx
-        grad[1:] += gv[:-1]
+        grad[:, 1:] += gv[:, :-1]
         grad -= gv
         if rate is None:
-            return action, grad[1:]
-        grad[0] = float(rate.derivative(x0)) + dt * float(gx[0]) - float(gv[0])
-        return i0 + action, grad
+            return [a if k else math.inf for a, k in zip(actions, ok)], grad[:, 1:]
+        values, first = [], []
+        for x0, a, k, gx0, gv0 in zip(full[:, 0].tolist(), actions, ok.tolist(),
+                                      gx[:, 0].tolist(), gv[:, 0].tolist()):
+            i0 = float(rate.evaluator(x0))
+            if k and not math.isinf(i0):
+                values.append(i0 + a)
+                first.append(float(rate.derivative(x0)) + dt * gx0 - gv0)
+            else:
+                values.append(math.inf)
+                first.append(0.0)
+        grad[:, 0] = first
+        return values, grad
 
     return fun_grad
 
 
-def _minimize(problem: ActionProblem, steps, seed, max_iter, gtol):
-    """Multi-start CG solve shared by the fixed and the open start.
+def _minimize(problems, steps, seed, max_iter, gtol):
+    """Multi-start CG solves of problems that differ only in their end point.
 
     A fixed start is the open problem with its first node pinned to m0 and
-    no static cost.  Returns [(path values, value)] for every start profile
-    with finite action, in profile order.
+    no static cost.  Every start profile of every problem is one row of one
+    _lockstep batch; each problem seeds its profiles from seed, as a solve
+    of it alone would.  Returns, per problem, [(path values, value)] for
+    every start profile with finite action, in profile order.
     """
-    model, start, mT, T = problem.model, problem.start, problem.end, problem.horizon
+    model, start, T = problems[0].model, problems[0].start, problems[0].horizon
+    if any(p.model != model or p.start != start or p.horizon != T for p in problems):
+        raise ValueError("batched problems must share the model, the start and the horizon")
     if isinstance(start, FixedStart):
         head, rate = [start.m0], None
     else:
         head, rate = [], start.rate_function
-    fun_grad = _objective(model.value_and_partials, T / steps, mT, head, rate)
-    found = []
-    for cand in _start_profiles(model, start, mT, T, steps, rng_from(seed)):
-        res = _cg_minimize(fun_grad, cand[len(head):-1], max_iter=max_iter, gtol=gtol)
+    owner, starts, tails = [], [], []
+    for k, p in enumerate(problems):
+        for cand in _start_profiles(model, start, p.end, T, steps, rng_from(seed)):
+            owner.append(k)
+            starts.append(cand[len(head):-1])
+            tails.append(p.end)
+    fun_grad = _objective(model.value_and_partials, T / steps, head, rate)
+    found = [[] for _ in problems]
+    results = _lockstep(fun_grad, starts, np.array(tails, dtype=float), max_iter, gtol)
+    for k, mT, res in zip(owner, tails, results):
         if res is not None:
-            found.append((np.concatenate([head, res[0], [mT]]), res[1]))
-    if not found:
+            found[k].append((np.concatenate([head, res[0], [mT]]), res[1]))
+    if not all(found):
         raise NoFeasiblePath("every start profile has infinite action")
     return found
 
@@ -388,7 +456,7 @@ def minimize_action_fixed(
     """
     if not isinstance(problem.start, FixedStart):
         raise ValueError("minimize_action_fixed needs a FixedStart problem")
-    path, value = min(_minimize(problem, steps, seed, max_iter, gtol), key=lambda r: r[1])
+    path, value = min(_minimize([problem], steps, seed, max_iter, gtol)[0], key=lambda r: r[1])
     return TrajectoryGrid(T=problem.horizon, steps=steps, values=path), value
 
 
@@ -428,21 +496,43 @@ def minimize_action_open_start(
     transversality residual |p(0) - I'(gamma_0)|, the stationarity
     condition of the free-start variation.
     """
-    if not isinstance(problem.start, OpenStart):
+    return minimize_action_open_starts([problem], steps, seed, max_iter, gtol)[0]
+
+
+def minimize_action_open_starts(
+    problems,
+    steps: int,
+    seed: int = 0,
+    max_iter: int = 2000,
+    gtol: float = 1e-9,
+):
+    """minimize_action_open_start of every problem, solved in one batch.
+
+    The problems must share the model, the OpenStart and the horizon; only
+    their end points differ.  Returns one (best trajectory, best value,
+    minimizers) per problem, each equal bit for bit to its solve alone.
+    """
+    if not all(isinstance(p.start, OpenStart) for p in problems):
         raise ValueError("minimize_action_open_start needs an OpenStart problem")
+    return [_open_result(p, steps, found)
+            for p, found in zip(problems, _minimize(problems, steps, seed, max_iter, gtol))]
+
+
+def _open_result(problem, steps, found):
+    """(best trajectory, best value, cluster set) from one problem's CG results."""
     T = problem.horizon
     rate = problem.start.rate_function
-    found = []
-    for path, value in _minimize(problem, steps, seed, max_iter, gtol):
+    mins = []
+    for path, value in found:
         traj = TrajectoryGrid(T=T, steps=steps, values=path)
         p0 = _initial_momentum(problem.model, traj)
         resid = abs(p0 - float(rate.derivative(path[0])))
-        found.append(OpenMinimizer(float(path[0]), value, traj, p0, resid))
+        mins.append(OpenMinimizer(float(path[0]), value, traj, p0, resid))
 
-    found.sort(key=lambda r: r.value)
-    best = found[0]
+    mins.sort(key=lambda r: r.value)
+    best = mins[0]
     cluster: list[OpenMinimizer] = []
-    for r in found:
+    for r in mins:
         if r.value > best.value + _CLUSTER_VALUE:
             break
         if all(abs(r.gamma0 - c.gamma0) > _CLUSTER_GAMMA0 for c in cluster):

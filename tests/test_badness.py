@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,7 +15,13 @@ from spinldp.badness import (
 )
 from spinldp.magnetization import mag_model
 from spinldp.rate_functions import bernoulli_rate, double_well_rate, tabulated_rate
-from spinldp.trajectory import ActionProblem, FixedStart, minimize_action_fixed
+from spinldp.trajectory import (
+    ActionProblem,
+    FixedStart,
+    OpenStart,
+    minimize_action_fixed,
+    minimize_action_open_start,
+)
 
 FAST = SolverOpts(dt_target=0.02, min_steps=100, max_iter=800, gtol=1e-8)
 MODEL = mag_model()
@@ -177,3 +184,21 @@ def test_descriptor_round_trip():
     assert dw.kind == "double_well"
     with pytest.raises(ValueError):
         rate_function_from_descriptor("unknown", ())
+
+
+def test_is_bad_branches_equal_solo_solves():
+    # the golden double-well cell: each of the ten endpoints mT +- delta 2^-n,
+    # solved alone (a batch of one), selects the start the batch recorded
+    opts = SolverOpts(dt_target=0.02, min_steps=60, max_iter=400, gtol=1e-8, seed=3)
+    rate, mT, T = double_well_rate(1.5), 0.0, 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        flag, diag = is_bad(rate, mT, T, epsilon=0.1, delta=0.05, opts=opts)
+        assert flag
+        for n in range(5):
+            for sign, key in ((+1.0, "plus_branch"), (-1.0, "minus_branch")):
+                problem = ActionProblem(MODEL, OpenStart(rate), mT + sign * (0.05 * 2.0**-n), T)
+                _, _, sel = minimize_action_open_start(
+                    problem, steps=opts.steps_for(T), seed=opts.seed,
+                    max_iter=opts.max_iter, gtol=opts.gtol)
+                assert sel[0].gamma0.hex() == diag[key][n].hex()

@@ -3,9 +3,10 @@ import os
 
 import pytest
 
+from spinldp import cli
 from spinldp.cli import main
 from spinldp.errors import ConfigError
-from spinldp.verification import criterion_6
+from spinldp.verification import DEFAULTS, criterion_6
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -267,3 +268,52 @@ def test_invalid_config_value_exits_2(tmp_path, capsys, command, cfg, field):
     path.write_text(json.dumps(cfg))
     assert run([command, str(path), "--out-dir", str(tmp_path / "o")]) == 2
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cfg, field", [
+    ({"seed": 1, "criteria": [2], "c2_samples": "many"}, "c2_samples:"),
+    ({"seed": 1, "criteria": [6], "c6_sides": [4, 6]}, "c6_sides:"),
+    ({"seed": 1, "criteria": [6], "c6_sides": [11, 11]}, "c6_sides:"),
+    ({"seed": 1, "criteria": [2], "c2_samples": 2.5}, "c2_samples:"),
+    ({"seed": 1, "criteria": [3], "c3_N_list": [50, 100.5]}, "c3_N_list:"),
+    ({"seed": 1, "criteria": [11], "c11_side": 40}, "c11_side:"),
+])
+def test_verify_bad_override_exits_2_before_any_criterion(tmp_path, capsys, cfg, field):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run(["verify", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+    out, err = capsys.readouterr()
+    assert field in err
+    assert "PASS" not in out and "FAIL" not in out
+
+
+def test_verify_checks_every_default_override():
+    assert set(cli._VERIFY_FIELDS) == set(DEFAULTS) - {"seed"}
+
+
+@pytest.mark.parametrize("command, cfg, field", [
+    ("mag-bvp", {"m0": 0.5, "mT": 0.0, "T": 1.0, "steps": 2.5}, "steps:"),
+    ("mag-rate", {"seed": 7, "m0": 0.5, "T": 0.5, "mT": 0.0, "steps": 400.5,
+                  "N_list": [200]}, "steps:"),
+    ("pw-rate", {"b": 2.0, "d": 1.0, "t": 1.0, "a": 1.0, "N_list": [50, 100.5]}, "N_list:"),
+    ("scan-bad", {**SCAN, "solver": {"min_steps": 80.5}}, "solver.min_steps:"),
+    ("scan-bad", {**SCAN, "solver": {"max_iter": 800.5}}, "solver.max_iter:"),
+    ("scan-bad", {**SCAN, "T_grid": {"start": 0.1, "stop": 1.0, "num": 2.5}}, "T_grid.num:"),
+    ("lattice-sim", {**LATTICE, "replicas": 2.5}, "replicas:"),
+    ("lattice-sim", {**LATTICE, "dim": 1.5}, "dim:"),
+    ("lattice-sim", {**LATTICE, "rates": {"kind": "constant", "dim": 1, "value": 1.0,
+                                          "radius": 0.5}}, "rates.radius:"),
+    ("lattice-check", {"seed": 5, "instances": 2.5}, "instances:"),
+])
+def test_non_integral_count_exits_2(tmp_path, capsys, command, cfg, field):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run([command, str(path), "--out-dir", str(tmp_path / "o")]) == 2
+    assert field in capsys.readouterr().err
+
+
+def test_integral_float_count_is_accepted(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"m0": 0.5, "mT": 0.0, "T": 1.0, "steps": 200.0}))
+    assert run(["mag-bvp", str(path), "--out-dir", str(tmp_path / "o")]) == 0
+    assert len((tmp_path / "o" / "mag_bvp.csv").read_text().splitlines()) == 202

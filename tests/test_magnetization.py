@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -163,6 +164,30 @@ def test_mag_lagrangian_scalar_branch_equals_0d_path():
         assert not bad.any(), list(zip(ms[bad][:5], qs[bad][:5]))
     assert mag_lagrangian(1.0, 0.7) == math.inf and mag_lagrangian(-1.0, -0.7) == math.inf
     assert mag_lagrangian(1.2, 0.0) == math.inf and mag_lagrangian(math.nan, 0.4) == math.inf
+    # mag_momentum's scalar branch shares the ratio, on the same grid
+    with np.errstate(over="ignore"):
+        ref = np.array([float(mag_momentum(np.asarray(m), np.asarray(q))) for m, q in zip(ms, qs)])
+        outs = {cast: [mag_momentum(cast(m), cast(q)) for m, q in zip(ms, qs)]
+                for cast in (float, np.float64)}
+    for out in outs.values():
+        assert all(isinstance(v, float) for v in out)
+        got = np.array(out, dtype=float)
+        bad = got.view(np.uint64) != ref.view(np.uint64)
+        assert not bad.any(), list(zip(ms[bad][:5], qs[bad][:5]))
+
+
+@pytest.mark.parametrize("m", [0.3, -0.7, 0.0])
+@pytest.mark.parametrize("q", [1e300, -1e300, 2e154, -2e154])
+def test_lagrangian_finite_where_q_squared_overflows(m, q):
+    # q * q overflows; L itself is finite, close to its large-|q| asymptote
+    asymptote = (abs(q) / 2) * (math.log(abs(q) / (1.0 - m if q > 0 else 1.0 + m)) - 1.0) + 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = [mag_lagrangian_vec(m, q), mag_lagrangian(m, q),
+                  mag_value_and_partials(np.array([m, 0.1]), np.array([q, 0.5]))[0][0]]
+    for v in values:
+        assert math.isfinite(v)
+        assert abs(v - asymptote) <= 1e-12 * asymptote
 
 
 def test_hamilton_rhs_reference():

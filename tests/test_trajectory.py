@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from spinldp.magnetization import (
 )
 from spinldp.poisson_walk import PoissonWalkParams, pw_lagrangian, pw_model
 from spinldp.rate_functions import RateFunctionSpec, bernoulli_rate, double_well_rate
+from spinldp import trajectory as tr
 from spinldp.trajectory import (
     ActionProblem,
     FixedStart,
@@ -24,6 +26,7 @@ from spinldp.trajectory import (
     hamilton_flow_integrate,
     minimize_action_fixed,
     minimize_action_open_start,
+    minimize_action_open_starts,
 )
 
 MODEL = mag_model()
@@ -244,3 +247,65 @@ def test_hamilton_flow_blowup_raises_domain_exit():
 def test_hamilton_flow_step_size_validated():
     with pytest.raises(ValueError):
         hamilton_flow_integrate(mag_hamilton_rhs, 0.0, 0.1, 1.0, 0.5)
+
+
+def _mixed_round_counter(model):
+    """model with an evaluator that counts the batches mixing finite and infinite rows."""
+    mixed = []
+
+    def value_and_partials(x, v):
+        out = model.value_and_partials(x, v)
+        finite = np.isfinite(out[0]).all(axis=-1)
+        if np.ndim(finite) and finite.any() and not finite.all():
+            mixed.append(int((~finite).sum()))
+        return out
+
+    return dataclasses.replace(model, value_and_partials=value_and_partials), mixed
+
+
+def test_lockstep_rows_equal_solo_solves_beside_an_infinite_row():
+    # Paths pinned at the domain edge m0 = 1.  The last row's first free node
+    # lies above 1, an upward velocity at m = 1, so its point is +inf in the
+    # same batch as the finite points of the other rows.
+    steps, T = 40, 1.0
+    model, mixed = _mixed_round_counter(MODEL)
+    fun_grad = tr._objective(model.value_and_partials, T / steps, [1.0], None)
+    tails = np.array([0.5, 0.9, -0.3, 0.2])
+    starts = [np.linspace(1.0, mT, steps + 1)[1:-1] for mT in tails]
+    starts[-1] = starts[-1] + 0.05
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = tr._lockstep(fun_grad, starts, tails, 400, 1e-10)
+        assert batch[-1] is None
+        assert mixed[0] == 1
+        for i in range(len(tails) - 1):
+            (x, f), = tr._lockstep(fun_grad, [starts[i]], tails[[i]], 400, 1e-10)
+            assert batch[i][0].tobytes() == x.tobytes()
+            assert batch[i][1].hex() == f.hex()
+
+
+def test_open_start_batch_equals_solo_solves():
+    # ends at and near the domain edge: some rounds evaluate +inf points in
+    # some rows and finite ones in others
+    model, mixed = _mixed_round_counter(MODEL)
+    start = OpenStart(double_well_rate(1.5))
+    problems = [ActionProblem(model, start, mT, 1.0) for mT in (0.0, 0.95, -1.0, 1.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = minimize_action_open_starts(problems, steps=50, seed=4, max_iter=300, gtol=1e-8)
+        assert mixed
+        for problem, (traj, val, mins) in zip(problems, batch):
+            traj1, val1, mins1 = minimize_action_open_start(problem, steps=50, seed=4,
+                                                            max_iter=300, gtol=1e-8)
+            assert traj.values.tobytes() == traj1.values.tobytes()
+            assert float(val).hex() == float(val1).hex()
+            assert [m.gamma0.hex() for m in mins] == [m.gamma0.hex() for m in mins1]
+
+
+def test_open_start_batch_needs_one_model_start_and_horizon():
+    start = OpenStart(bernoulli_rate(0.5))
+    for other in (ActionProblem(mag_model(), start, 0.2, 1.0),
+                  ActionProblem(MODEL, OpenStart(bernoulli_rate(0.3)), 0.2, 1.0),
+                  ActionProblem(MODEL, start, 0.2, 2.0)):
+        with pytest.raises(ValueError):
+            minimize_action_open_starts([ActionProblem(MODEL, start, 0.0, 1.0), other], steps=20)
