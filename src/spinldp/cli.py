@@ -46,7 +46,8 @@ def _need(cfg, field, types, where=""):
     if field not in cfg:
         raise ConfigError(f"{where}{field}: required field missing")
     v = cfg[field]
-    if not isinstance(v, types):
+    # JSON true/false load as bool, which isinstance counts as an int
+    if isinstance(v, bool) or not isinstance(v, types):
         raise ConfigError(f"{where}{field}: expected {types}, got {type(v).__name__}")
     return v
 
@@ -186,16 +187,17 @@ def cmd_mag_rate(cfg, out_dir, workers):
     mT = _need_number(cfg, "mT", lo=-1.0, hi=1.0)
     T = _need_number(cfg, "T", lo=1e-9)
     steps = _int_or(cfg, "steps", 400, lo=1)
-    n_list = _n_list(cfg)
+    # the oracle's integrality rule, before the minimization
+    exact = []
+    for n in _n_list(cfg):
+        try:
+            exact.append((n, -mag.mag_exact_log_prob(n, m0, T, mT) / n))
+        except ValueError as exc:
+            raise ConfigError(f"N_list: N={n} incompatible with the endpoints ({exc})") from exc
     model = mag.mag_model()
     problem = tr.ActionProblem(model, tr.FixedStart(m0), mT, T)
     _, action = tr.minimize_action_fixed(problem, steps=steps, seed=child_seed(seed, 0))
-    rows = []
-    for n in n_list:
-        if (n * (1 + m0) / 2) % 1 > 1e-9 or (n * (1 + mT) / 2) % 1 > 1e-9:
-            raise ConfigError(f"N_list: N={n} incompatible with endpoints (spin counts not integral)")
-        exact = -mag.mag_exact_log_prob(n, m0, T, mT) / n
-        rows.append([n, m0, T, mT, exact, action, exact - action])
+    rows = [[n, m0, T, mT, e, action, e - action] for n, e in exact]
     write_csv(os.path.join(out_dir, "mag_rate.csv"),
               ["N", "m0", "T", "mT", "exact_rate", "action", "gap"], rows)
     print(f"mag-rate: action {action:.6f}, final gap {rows[-1][-1]:+.6f}")
@@ -267,7 +269,11 @@ def cmd_scan_bad(cfg, out_dir, workers):
     except ValueError as exc:
         raise ConfigError(f"rate_function: {exc}") from exc
     T_grid = _grid(_need(cfg, "T_grid", (list, dict)), "T_grid")
+    if not all(T > 0 for T in T_grid):
+        raise ConfigError(f"T_grid: every horizon must be > 0, got {T_grid}")
     mT_grid = _grid(_need(cfg, "mT_grid", (list, dict)), "mT_grid")
+    if not all(-1.0 <= m <= 1.0 for m in mT_grid):
+        raise ConfigError(f"mT_grid: every endpoint must lie in [-1, 1], got {mT_grid}")
     solver = _need(cfg, "solver", dict) if "solver" in cfg else {}
     opts = bd.SolverOpts(
         dt_target=_number_or(solver, "dt_target", 0.02, lo=1e-12, where="solver."),

@@ -23,23 +23,6 @@ _MAX_DOUBLINGS = 60
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-@dataclass(frozen=True)
-class ScalarFunction:
-    """A scalar convex function with an optional derivative evaluator.
-
-    domain is a closed interval; (-inf, inf) means all of R.  A supplied
-    derivative must match central finite differences to relative error 1e-6
-    at interior points (see check_derivative).
-    """
-
-    fn: Callable[[float], float]
-    domain: tuple[float, float] = (-math.inf, math.inf)
-    deriv: Optional[Callable[[float], float]] = None
-
-    def __call__(self, p: float) -> float:
-        return self.fn(p)
-
-
 def _safe_eval(fn, p):
     """Evaluate, mapping overflow to +inf (exponential tails are expected)."""
     try:
@@ -50,22 +33,6 @@ def _safe_eval(fn, p):
     if math.isnan(v):
         return math.inf
     return v
-
-
-def check_derivative(f: ScalarFunction, points: Sequence[float], rtol: float = 1e-6) -> float:
-    """Max relative mismatch between f.deriv and central differences."""
-    if f.deriv is None:
-        raise ValueError("no derivative evaluator supplied")
-    worst = 0.0
-    for p in points:
-        h = 1e-6 * (1.0 + abs(p))
-        fd = (f.fn(p + h) - f.fn(p - h)) / (2.0 * h)
-        d = f.deriv(p)
-        err = abs(d - fd) / (1.0 + abs(fd))
-        worst = max(worst, err)
-    if worst > rtol:
-        raise ValueError(f"derivative mismatch {worst:.3e} exceeds rtol {rtol:.1e}")
-    return worst
 
 
 def _convexity_probe(fn, lo, hi, n=17):
@@ -91,45 +58,41 @@ class ConjugateResult:
 
 
 def conjugate(
-    f: ScalarFunction | Callable[[float], float],
+    fn: Callable[[float], float],
     slope: float,
+    deriv: Optional[Callable[[float], float]] = None,
     bracket: tuple[float, float] = (-50.0, 50.0),
     convexity_check: bool = True,
 ) -> ConjugateResult:
-    """sup_p [slope*p - f(p)] for convex f.
+    """sup_p [slope*p - fn(p)] for convex fn on all of R.
 
     The bracket slides outward (doubling its step) on a side while the
     endpoint there still beats the interior; coercive objectives turn around
     quickly, and an objective that is still growing after _MAX_DOUBLINGS
     expansions is declared NonCoercive (supremum +inf).  Golden-section
     search then localizes the maximizer of the concave objective, followed
-    by a Newton polish on f'(p) = slope when a derivative is available.
+    by a Newton polish on fn'(p) = slope when deriv, the derivative of fn,
+    is given.
     """
-    if isinstance(f, ScalarFunction):
-        fn, deriv, domain = f.fn, f.deriv, f.domain
-    else:
-        fn, deriv, domain = f, None, (-math.inf, math.inf)
 
     def g(p):
         v = _safe_eval(fn, p)
         return -math.inf if math.isinf(v) else slope * p - v
 
-    lo = max(bracket[0], domain[0])
-    hi = min(bracket[1], domain[1])
-    if not lo < hi:
-        raise ValueError("empty bracket after domain intersection")
+    a, b = bracket
+    if not a < b:
+        raise ValueError("empty bracket")
 
     if convexity_check:
-        _convexity_probe(fn, lo, hi)
+        _convexity_probe(fn, a, b)
 
-    a, b = lo, hi
     ga, gb = g(a), g(b)
     m = 0.5 * (a + b)
     gm = g(m)
 
     step = b - a
     n = 0
-    while gm < ga and a > domain[0]:
+    while gm < ga:
         n += 1
         if n > _MAX_DOUBLINGS:
             raise NonCoercive(
@@ -138,10 +101,10 @@ def conjugate(
         b, gb = m, gm
         m, gm = a, ga
         step *= 2.0
-        a = max(a - step, domain[0])
+        a = a - step
         ga = g(a)
     n = 0
-    while gm < gb and b < domain[1]:
+    while gm < gb:
         n += 1
         if n > _MAX_DOUBLINGS:
             raise NonCoercive(
@@ -150,7 +113,7 @@ def conjugate(
         a, ga = m, gm
         m, gm = b, gb
         step *= 2.0
-        b = min(b + step, domain[1])
+        b = b + step
         gb = g(b)
 
     # Golden-section on the concave objective over [a, b].
@@ -206,12 +169,10 @@ def duality_gap(
     """
     gap = 0.0
     for x in state_grid:
-        sf = ScalarFunction(
-            fn=lambda q, _x=x: l_family(_x, q),
-            deriv=None if l_deriv is None else (lambda q, _x=x: l_deriv(_x, q)),
-        )
-        _convexity_probe(sf.fn, bracket[0], bracket[1])
+        fn = lambda q, _x=x: l_family(_x, q)
+        deriv = None if l_deriv is None else (lambda q, _x=x: l_deriv(_x, q))
+        _convexity_probe(fn, bracket[0], bracket[1])
         for p in slope_grid:
-            res = conjugate(sf, p, bracket=bracket, convexity_check=False)
+            res = conjugate(fn, p, deriv=deriv, bracket=bracket, convexity_check=False)
             gap = max(gap, abs(h_family(x, p) - res.value))
     return gap

@@ -20,7 +20,6 @@ true value and the gap is measurable.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +32,6 @@ __all__ = [
     "fj_lagrangian_variational",
     "fj_lagrangian_dual",
     "fj_paper_closed_form",
-    "product_lagrangian",
-    "bernoulli_kl_vec",
 ]
 
 # Newton iteration budget of fj_lagrangian_variational and fj_lagrangian_dual.
@@ -237,35 +234,3 @@ def fj_paper_closed_form(model: JumpModel, alpha) -> float:
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(nu > 0, nu * np.log(np.where(nu > 0, nu, 1.0) / w), 0.0)
     return float(np.sum(terms))
-
-
-def _elementwise(f, x):
-    """f, a function of one float, mapped over the entries of x: a float for
-    a 0-d x, else a float array of x's shape, each entry f(float(entry))."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        return f(float(x))
-    return np.array([f(v) for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
-
-
-def _kl_scalar(x: float, yp: float, ym: float) -> float:
-    """KL between spin marginals with means x and y, yp = (1+y)/2 and
-    ym = (1-y)/2, for one float x in [-1, 1].  0 log 0 = 0; a NaN x gives NaN."""
-    xp, xm = 0.5 * (1.0 + x), 0.5 * (1.0 - x)
-    # the NaN test runs off the log branch only
-    tp = xp * float(np.log(xp / yp)) if xp > 0 else (math.nan if math.isnan(xp) else 0.0)
-    tm = xm * float(np.log(xm / ym)) if xm > 0 else (math.nan if math.isnan(xm) else 0.0)
-    return tp + tm
-
-
-def bernoulli_kl_vec(x, y):
-    """_kl_scalar over the entries of x, per site; requires |y| < 1."""
-    yp, ym = 0.5 * (1.0 + y), 0.5 * (1.0 - y)
-    return _elementwise(lambda v: _kl_scalar(v, yp, ym), x)
-
-
-def product_lagrangian(x: float, y: float) -> float:
-    """(1+x)/2 log((1+x)/(1+y)) + (1-x)/2 log((1-x)/(1-y))."""
-    if abs(x) >= 1.0 or abs(y) >= 1.0:
-        raise ValueError("|x| and |y| must be < 1")
-    return _kl_scalar(float(x), 0.5 * (1.0 + y), 0.5 * (1.0 - y))

@@ -30,7 +30,6 @@ from .errors import PathLeavesDomain
 __all__ = [
     "mag_hamiltonian",
     "mag_lagrangian",
-    "mag_lagrangian_vec",
     "mag_hamilton_rhs",
     "mag_extremal",
     "mag_exact_log_prob",
@@ -72,15 +71,16 @@ def mag_hamiltonian_dp(m: float, p: float) -> float:
         return math.inf if p > 0 else -math.inf
 
 
-def mag_lagrangian(m: float, q: float) -> float:
+def mag_lagrangian(m, q):
     """sup_p [p q - H(m, p)]; +inf for infeasible boundary velocities.
 
     Two plain floats (or np.float64) with |m| < 1 and a finite result take a
-    scalar branch equal bit for bit to the 0-d path of mag_lagrangian_vec:
-    the same float operations in the same order, math.sqrt (correctly
-    rounded, like np.sqrt), NumPy's log, and _ratio_log's choice of ratio
-    by the sign test q >= 0.  Every other input, and a non-finite ratio or
-    value, goes through mag_lagrangian_vec.
+    scalar branch equal bit for bit to the 0-d path of
+    mag_value_and_partials: the same float operations in the same order,
+    math.sqrt (correctly rounded, like np.sqrt), NumPy's log, and
+    _ratio_log's choice of ratio by the sign test q >= 0.  Every other
+    input, and a non-finite ratio or value, goes through
+    mag_value_and_partials: a float for 0-d input, an array otherwise.
     """
     if isinstance(m, float) and isinstance(q, float) and -1.0 < m < 1.0:
         m, q = float(m), float(q)
@@ -89,7 +89,8 @@ def mag_lagrangian(m: float, q: float) -> float:
             val = 0.5 * q * float(np.log(u)) - 0.5 * r + 1.0
             if math.isfinite(val):
                 return val
-    return float(mag_lagrangian_vec(np.asarray(m, float), np.asarray(q, float)))
+    val = mag_value_and_partials(m, q)[0]
+    return float(val) if val.ndim == 0 else val
 
 
 def _ratio_scalar(m: float, q: float):
@@ -119,8 +120,9 @@ def _ratio_log(m, q):
     return m, q, r, u, np.log(u)
 
 
-def _lagrangian_value(m, q, r, log_u):
-    """The closed form, with the boundary chain only where some node needs it.
+def _lagrangian_value(m, q, r, u, log_u):
+    """(L, u, log u): the closed form, with the boundary chain only where
+    some node needs it.
 
     The chain changes no entry unless some node has |m| >= 1 or a
     non-finite value, so otherwise it is skipped.  A node with q = 0 and
@@ -130,29 +132,30 @@ def _lagrangian_value(m, q, r, log_u):
     """
     val = 0.5 * q * log_u - 0.5 * r + 1.0
     if (np.abs(m) < 1.0).all() and np.isfinite(val).all():
-        return val
-    return _boundary_cases(m, q, val)
+        return val, u, log_u
+    return _boundary_cases(m, q, r, u, log_u)
 
 
-def _scaled_value(m, q):
-    """L from R / |q| and log u split as log|q| + log(ratio / |q|).
+def _boundary_cases(m, q, r, u, log_u):
+    """(L, u, log u) with overflow repaired, then the limits and infeasibility.
 
-    The form for the nodes where q * q overflows: the closed form itself is
+    Where q * q overflows, R and u are recomputed scaled by |q| and log u is
+    split as log|q| + log(u / |q|) (q >= 0) or log(u |q|) - log|q| (q < 0);
+    the value and both partials then come from the one closed form.  L is
     finite there, about (|q|/2)(log(|q|/(1 -+ m)) - 1) + 1 for q >< 0.
+    After that come the q = 0, |m| >= 1 and NaN corrections of the value.
     """
-    s = np.abs(q)
-    rs = np.sqrt(1.0 + (4.0 * (1.0 - m * m) / s) / s)
-    log_u = np.where(q >= 0, np.log(s) + np.log((1.0 + rs) / (2.0 * (1.0 - m))),
-                     np.log(2.0 * (1.0 + m) / (1.0 + rs)) - np.log(s))
-    return 0.5 * q * log_u - 0.5 * (s * rs) + 1.0
-
-
-def _boundary_cases(m, q, val):
-    """Limits and infeasibility: the q = 0, |m| >= 1 and NaN corrections of
-    val, after the nodes whose q * q overflowed are recomputed in scaled form."""
     overflow = np.isinf(q * q)
     if overflow.any():
-        val = np.where(overflow, _scaled_value(m, q), val)
+        s = np.abs(q)
+        rs = np.sqrt(1.0 + (4.0 * (1.0 - m * m) / s) / s)
+        up = (1.0 + rs) / (2.0 * (1.0 - m))  # u / |q| for q >= 0
+        down = 2.0 * (1.0 + m) / (1.0 + rs)  # u |q| for q < 0
+        r = np.where(overflow, s * rs, r)
+        u = np.where(overflow, np.where(q >= 0, s * up, down / s), u)
+        log_u = np.where(overflow, np.where(q >= 0, np.log(s) + np.log(up),
+                                            np.log(down) - np.log(s)), log_u)
+    val = 0.5 * q * log_u - 0.5 * r + 1.0
     # q = 0 and boundary corner cases: vanishing velocity costs 1 - sqrt(1-m^2)
     val = np.where(q == 0, 1.0 - np.sqrt(np.maximum(1.0 - m * m, 0.0)), val)
     # infeasible: moving up at m=1 or down at m=-1 (log ratio diverges with q*log -> +inf)
@@ -160,17 +163,7 @@ def _boundary_cases(m, q, val):
     val = np.where((m <= -1.0) & (q < 0), np.inf, val)
     # outside the state interval there is no process at all
     val = np.where(np.abs(m) > 1.0, np.inf, val)
-    return np.where(np.isnan(val), np.inf, val)
-
-
-def mag_lagrangian_vec(m, q):
-    """Vectorized closed form, stable on both velocity signs (see _ratio_log)."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        m, q, r, _, log_u = _ratio_log(m, q)
-        val = _lagrangian_value(m, q, r, log_u)
-    if val.ndim == 0:
-        return float(val)
-    return val
+    return np.where(np.isnan(val), np.inf, val), u, log_u
 
 
 def mag_momentum(m, q):
@@ -178,14 +171,14 @@ def mag_momentum(m, q):
 
     Two plain floats (or np.float64) with |m| < 1 and a finite positive
     ratio take the scalar branch of mag_lagrangian (_ratio_scalar), bit for
-    bit equal to the 0-d array path; every other input takes that path.
+    bit equal to the 0-d array path; every other input takes
+    mag_value_and_partials.
     """
     if isinstance(m, float) and isinstance(q, float) and -1.0 < m < 1.0:
         _, u = _ratio_scalar(float(m), float(q))
         if 0.0 < u < math.inf:
             return 0.5 * float(np.log(u))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return 0.5 * _ratio_log(m, q)[4]
+    return mag_value_and_partials(m, q)[2]
 
 
 def mag_hamilton_rhs(m: float, p: float) -> tuple[float, float]:
@@ -335,14 +328,15 @@ def mag_value_and_partials(m, q):
     Two arrays of one shape, 1-d or a 2-d batch of paths, are used as
     they are; anything else is broadcast first.  Every operation is
     elementwise, so row i of a batch equals the call on row i bit for bit.
-    The boundary chain (q = 0, |m| >= 1, NaN -> +inf) runs only when some
-    node has |m| >= 1 or a non-finite value; on the other nodes, q = 0
-    included, it would change no bit, so the common call of an action
-    solve skips it.
+    The boundary chain (overflow of q * q, q = 0, |m| >= 1, NaN -> +inf)
+    runs only when some node has |m| >= 1 or a non-finite value; on the
+    other nodes, q = 0 included, it would change no bit, so the common call
+    of an action solve skips it.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         m, q, r, u, log_u = _ratio_log(m, q)
-        return _lagrangian_value(m, q, r, log_u), 0.5 * (u - 1.0 / u), 0.5 * log_u
+        val, u, log_u = _lagrangian_value(m, q, r, u, log_u)
+        return val, 0.5 * (u - 1.0 / u), 0.5 * log_u
 
 
 def mag_model():

@@ -58,22 +58,13 @@ def pw_hamiltonian(lam: float, params: PoissonWalkParams) -> float:
         return math.inf
 
 
-def pw_lagrangian(a: float, params: PoissonWalkParams) -> float:
-    """sup_lam [a lam - H(lam)], closed form; +inf when d=0 and a<0."""
-    b, d = params.b, params.d
-    if d == 0.0:
-        if a < 0.0:
-            return math.inf
-        if a == 0.0:
-            return b
-        return a * math.log(a / b) - a + b
-    r = math.sqrt(a * a + 4.0 * b * d)
-    if a >= 0.0:
-        log_u = math.log((a + r) / (2.0 * b))
-    else:
-        # (a+r) cancels for a << 0; use (a+r)(r-a) = 4bd.
-        log_u = math.log(2.0 * d / (r - a))
-    return a * log_u - r + b + d
+def pw_lagrangian(a, params: PoissonWalkParams):
+    """sup_lam [a lam - H(lam)], closed form; +inf when d=0 and a<0.
+
+    A float for 0-d input, an array of a's shape otherwise.
+    """
+    val = _pw_value_and_log_u(a, params.b, params.d)[0]
+    return float(val) if val.ndim == 0 else val
 
 
 @dataclass(frozen=True)
@@ -220,11 +211,6 @@ def _pw_value_and_log_u(v, b, d):
         r = np.sqrt(v * v + 4.0 * b * d)
         log_u = np.where(v >= 0, np.log((np.abs(v) + r) / (2.0 * b)), -np.log((np.abs(v) + r) / (2.0 * d)))
         return v * log_u - r + b + d, log_u
-
-
-def pw_lagrangian_vec(v, params: PoissonWalkParams):
-    """Vectorized pw_lagrangian over a velocity array."""
-    return _pw_value_and_log_u(v, params.b, params.d)[0]
 
 
 def pw_model(params: PoissonWalkParams):

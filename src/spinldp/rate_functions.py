@@ -2,7 +2,9 @@
 
 Built-ins:
   * bernoulli(y): the product-measure relative entropy, strictly convex
-    with its unique zero at y;
+    with its unique zero at y.  bernoulli_rate(y).evaluator(x) is the
+    package's one Bernoulli KL: per site, between spin marginals with
+    means x and y, +inf for |x| > 1;
   * double_well(beta), beta > 1: the symmetric entropy minus a quadratic,
     shifted so the two wells +-m_beta (solving arctanh(m) = beta m) sit at
     height 0.  A mean-field stand-in for a low-temperature starting phase.
@@ -23,8 +25,6 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.optimize import brentq
 
-from .finite_jump import _elementwise, _kl_scalar
-
 __all__ = ["RateFunctionSpec", "bernoulli_rate", "double_well_rate", "tabulated_rate"]
 
 
@@ -38,6 +38,25 @@ class RateFunctionSpec:
 
     def __call__(self, m):
         return self.evaluator(m)
+
+
+def _elementwise(f, x):
+    """f, a function of one float, mapped over the entries of x: a float for
+    a 0-d x, else a float array of x's shape, each entry f(float(entry))."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 0:
+        return f(float(x))
+    return np.array([f(v) for v in x.ravel().tolist()], dtype=float).reshape(x.shape)
+
+
+def _kl_scalar(x: float, yp: float, ym: float) -> float:
+    """KL between spin marginals with means x and y, yp = (1+y)/2 and
+    ym = (1-y)/2, for one float x in [-1, 1].  0 log 0 = 0; a NaN x gives NaN."""
+    xp, xm = 0.5 * (1.0 + x), 0.5 * (1.0 - x)
+    # the NaN test runs off the log branch only
+    tp = xp * float(np.log(xp / yp)) if xp > 0 else (math.nan if math.isnan(xp) else 0.0)
+    tm = xm * float(np.log(xm / ym)) if xm > 0 else (math.nan if math.isnan(xm) else 0.0)
+    return tp + tm
 
 
 def _arctanh_clipped(x: float) -> float:

@@ -119,6 +119,12 @@ class OpenStart:
 
 @dataclass(frozen=True)
 class ActionProblem:
+    """Minimize the action from start to end over [0, horizon].
+
+    Raises PathLeavesDomain when end, or a fixed start, lies outside
+    model.domain: a path there is never evaluated at that point.
+    """
+
     model: LagrangianModel
     start: FixedStart | OpenStart
     end: float
@@ -127,8 +133,14 @@ class ActionProblem:
     def __post_init__(self):
         if not self.horizon > 0:
             raise ValueError("horizon must be > 0")
+        lo, hi = self.model.domain
+        ends = [("end", self.end)]
+        if isinstance(self.start, FixedStart):
+            ends.append(("start", self.start.m0))
+        for name, x in ends:
+            if not lo <= x <= hi:
+                raise PathLeavesDomain(f"{name} {x!r} lies outside the domain [{lo}, {hi}]")
         if self.model.drift is not None:
-            lo, hi = self.model.domain
             probe_lo = max(lo, -1.0) if math.isfinite(lo) else -1.0
             probe_hi = min(hi, 1.0) if math.isfinite(hi) else 1.0
             xs = np.linspace(probe_lo + 1e-6, probe_hi - 1e-6, 7)

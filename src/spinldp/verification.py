@@ -76,7 +76,7 @@ def criterion_2(cfg, workers=1):
     t0 = time.time()
     rng = rng_from(child_seed(cfg["seed"], 2))
     m = rng.uniform(-1.0, 1.0, size=cfg["c2_samples"])
-    worst_closed = float(np.max(np.abs(mag.mag_lagrangian_vec(m, -2.0 * m))))
+    worst_closed = float(np.max(np.abs(mag.mag_lagrangian(m, -2.0 * m))))
     t = np.linspace(0.0, 1.0, 2001)
     traj = tr.TrajectoryGrid(T=1.0, steps=2000, values=0.5 * np.exp(-2.0 * t))
     act = tr.action_integral(mag.mag_model(), traj)

@@ -7,6 +7,7 @@ battery itself runs once here, so repeating it would only re-execute
 identical code paths at triple the runtime.
 """
 
+import hashlib
 import os
 
 import pytest
@@ -44,5 +45,8 @@ def test_criterion_12_determinism(tmp_path, capsys):
         assert code == 0
         outputs[tag] = (out / "verify_summary.csv").read_bytes()
     assert outputs["a"] == outputs["b"] == outputs["c"]
+    # and the bytes themselves: every verdict and detail of the reduced battery
+    assert hashlib.sha256(outputs["a"]).hexdigest() == (
+        "a4cc6c23251529ffa2a92151f2e73dfa026a4b15749b8270cc1ca6b3e46845e2")
     print("PASS 12 determinism: byte-identical verify outputs at workers 1 and 2 "
           "across repeated runs")

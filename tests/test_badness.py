@@ -37,10 +37,19 @@ def test_rate_function_normalization_and_wells():
     grid = np.linspace(-0.999, 0.999, 2001)
     assert float(np.min(dw.evaluator(grid))) >= -1e-12
     b = bernoulli_rate(0.5)
-    from spinldp.finite_jump import product_lagrangian
-
     for m in (-0.7, 0.0, 0.4):
-        assert abs(float(b.evaluator(m)) - product_lagrangian(m, 0.5)) <= 1e-14
+        kl = 0.5 * (1 + m) * math.log((1 + m) / 1.5) + 0.5 * (1 - m) * math.log((1 - m) / 0.5)
+        assert abs(float(b.evaluator(m)) - kl) <= 1e-14
+
+
+def test_branch_endpoint_past_the_domain_is_a_cell_error():
+    # the double well has two minimizers at mT = 0, T = 1; delta = 1.5 puts
+    # the level-0 branch endpoints at +-1.5, outside [-1, 1]
+    opts = SolverOpts(dt_target=0.02, min_steps=60, max_iter=400, gtol=1e-8)
+    (cell,) = badness_scan("double_well", (1.5,), [1.0], [0.0], delta=1.5, opts=opts,
+                           master_seed=3).cells
+    assert cell.error == "PathLeavesDomain"
+    assert math.isnan(cell.cost) and not cell.bad
 
 
 def test_rate_function_infinite_outside_interval():

@@ -6,6 +6,7 @@ import pytest
 from spinldp import cli
 from spinldp.cli import main
 from spinldp.errors import ConfigError
+from spinldp.magnetization import mag_exact_log_prob
 from spinldp.verification import DEFAULTS, criterion_6
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
@@ -262,6 +263,15 @@ LATTICE = {"seed": 3, "dim": 1, "side": 21, "times": [0.5], "replicas": 2,
                                           "radius": "one"}}, "rates.radius:"),
     ("lattice-sim", {**LATTICE, "rates": {"kind": "random", "dim": 1, "radius": 1, "seed": 2,
                                           "lo": "low"}}, "rates.lo:"),
+    # JSON true is a Python bool, which isinstance counts as the int 1
+    ("pw-rate", {"b": True, "d": 1.0, "t": 1.0, "a": 1.0, "N_list": [50]}, "b:"),
+    ("mag-rate", {"seed": True, "m0": 0.5, "T": 0.5, "mT": 0.0, "N_list": [200]}, "seed:"),
+    ("mag-bvp", {"m0": 0.5, "mT": 0.0, "T": 1.0, "steps": True}, "steps:"),
+    # a horizon must be positive and an endpoint a magnetization
+    ("scan-bad", {**SCAN, "T_grid": [0.5, 0.0]}, "T_grid:"),
+    ("scan-bad", {**SCAN, "T_grid": {"start": -1.0, "stop": 1.0, "num": 3}}, "T_grid:"),
+    ("scan-bad", {**SCAN, "mT_grid": [1.5]}, "mT_grid:"),
+    ("scan-bad", {**SCAN, "mT_grid": {"start": -1.2, "stop": 0.0, "num": 2}}, "mT_grid:"),
 ])
 def test_invalid_config_value_exits_2(tmp_path, capsys, command, cfg, field):
     path = tmp_path / "cfg.json"
@@ -310,6 +320,32 @@ def test_non_integral_count_exits_2(tmp_path, capsys, command, cfg, field):
     path.write_text(json.dumps(cfg))
     assert run([command, str(path), "--out-dir", str(tmp_path / "o")]) == 2
     assert field in capsys.readouterr().err
+
+
+MAG_RATE = {"seed": 7, "m0": -0.92, "T": 0.5, "mT": 0.0, "steps": 40}
+
+
+def test_mag_rate_count_just_below_an_integer_is_accepted(tmp_path, capsys):
+    # N (1 + m0) / 2 is 3.999999999999998 here: the oracle's rule accepts it
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**MAG_RATE, "N_list": [100, 50]}))
+    assert run(["mag-rate", str(path), "--out-dir", str(tmp_path / "o")]) == 0
+    rows = (tmp_path / "o" / "mag_rate.csv").read_text().splitlines()[1:]
+    assert [float(r.split(",")[4]) for r in rows] == [
+        -mag_exact_log_prob(100, -0.92, 0.5, 0.0) / 100, -mag_exact_log_prob(50, -0.92, 0.5, 0.0) / 50]
+    assert abs(mag_exact_log_prob(100, -0.92, 0.5, 0.0) + 8.7379) <= 1e-4
+
+
+def test_mag_rate_non_integral_count_exits_2_before_the_solve(tmp_path, capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the minimization ran before the N_list check")
+
+    monkeypatch.setattr(cli.tr, "minimize_action_fixed", no_solve)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**MAG_RATE, "N_list": [100, 55]}))
+    assert run(["mag-rate", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+    assert "N_list: N=55" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "mag_rate.csv").exists()
 
 
 def test_integral_float_count_is_accepted(tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spinldp.duality import ScalarFunction, check_derivative, conjugate, duality_gap
+from spinldp.duality import conjugate, duality_gap
 from spinldp.errors import NonCoercive, NotConvex
 from spinldp.magnetization import mag_hamiltonian
 
@@ -30,8 +30,7 @@ def test_magnetization_hamiltonian_slice():
 
 
 def test_argmax_stationarity_with_derivative():
-    f = ScalarFunction(fn=lambda p: math.cosh(p), deriv=lambda p: math.sinh(p))
-    res = conjugate(f, 0.7)
+    res = conjugate(math.cosh, 0.7, deriv=math.sinh)
     assert abs(math.sinh(res.argmax) - 0.7) <= 1e-8
 
 
@@ -51,14 +50,6 @@ def test_far_maximizer_is_reached_by_expansion():
     res = conjugate(lambda p: 0.5e-2 * p * p, 3.0)
     assert abs(res.argmax - 300.0) <= 1e-3
     assert abs(res.value - 450.0) <= 1e-8
-
-
-def test_check_derivative_flags_mismatch():
-    good = ScalarFunction(fn=lambda p: p**3, deriv=lambda p: 3 * p * p)
-    check_derivative(good, [-1.0, 0.3, 2.0])
-    bad = ScalarFunction(fn=lambda p: p**3, deriv=lambda p: 2 * p * p)
-    with pytest.raises(ValueError):
-        check_derivative(bad, [-1.0, 0.3, 2.0])
 
 
 def test_duality_gap_quadratic_pair_zero():
@@ -83,18 +74,15 @@ def test_duality_gap_offset_pair():
     q=st.floats(-3, 3),
 )
 def test_fenchel_inequality_cosh(p, q):
-    f = ScalarFunction(fn=lambda x: math.cosh(x) - 1.0, deriv=math.sinh)
-    star = conjugate(f, q).value
+    star = conjugate(lambda x: math.cosh(x) - 1.0, q, deriv=math.sinh).value
     assert p * q <= (math.cosh(p) - 1.0) + star + 1e-8
 
 
 @settings(max_examples=25, deadline=None)
 @given(x=st.floats(-2, 2))
 def test_double_conjugation_recovers_convex_function(x):
-    f = ScalarFunction(fn=lambda p: math.cosh(p) - 1.0, deriv=math.sinh)
-
     def fstar(q):
-        return conjugate(f, q).value
+        return conjugate(lambda p: math.cosh(p) - 1.0, q, deriv=math.sinh).value
 
-    back = conjugate(ScalarFunction(fn=fstar), x, bracket=(-60.0, 60.0))
+    back = conjugate(fstar, x, bracket=(-60.0, 60.0))
     assert abs(back.value - (math.cosh(x) - 1.0)) <= 1e-6

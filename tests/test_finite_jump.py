@@ -10,9 +10,9 @@ from spinldp.finite_jump import (
     fj_lagrangian_dual,
     fj_lagrangian_variational,
     fj_paper_closed_form,
-    product_lagrangian,
 )
 from spinldp.magnetization import mag_lagrangian
+from spinldp.rate_functions import bernoulli_rate
 from spinldp.seeding import child_seed, rng_from
 
 D2 = np.array([[-2.0, 2.0], [2.0, -2.0]])
@@ -164,18 +164,18 @@ def test_two_state_model_matches_magnetization_lagrangian():
 
 
 def test_product_lagrangian_values():
-    assert product_lagrangian(0.3, 0.3) == 0.0
+    assert bernoulli_rate(0.3).evaluator(0.3) == 0.0
     expect = 0.5 * math.log(0.5 / 0.75) + 0.5 * math.log(0.5 / 0.25)
-    assert abs(product_lagrangian(0.0, 0.5) - expect) <= 1e-14
-    assert abs(product_lagrangian(-0.4, -0.2) - product_lagrangian(0.4, 0.2)) <= 1e-14
-    with pytest.raises(ValueError):
-        product_lagrangian(1.0, 0.5)
+    assert abs(bernoulli_rate(0.5).evaluator(0.0) - expect) <= 1e-14
+    assert abs(bernoulli_rate(-0.2).evaluator(-0.4) - bernoulli_rate(0.2).evaluator(0.4)) <= 1e-14
+    # no spin marginal has mean outside [-1, 1]
+    assert bernoulli_rate(0.3).evaluator(1.5) == math.inf
 
 
 def test_product_lagrangian_dominates_magnetization_contraction():
     for x, y in ((0.5, 0.0), (0.3, 0.1), (-0.6, 0.2)):
-        assert product_lagrangian(x, y) >= mag_lagrangian(y, -2.0 * x) - 1e-12
-    assert abs(product_lagrangian(0.5, 0.0) - 0.13081) <= 1e-4
+        assert bernoulli_rate(y).evaluator(x) >= mag_lagrangian(y, -2.0 * x) - 1e-12
+    assert abs(bernoulli_rate(0.0).evaluator(0.5) - 0.13081) <= 1e-4
     assert abs(mag_lagrangian(0.0, -1.0) - 0.12257) <= 1e-4
 
 

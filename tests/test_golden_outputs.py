@@ -10,8 +10,12 @@ change that moves costs on purpose (a new discretization, a new solver)
 re-records them and says so.
 """
 
+import hashlib
+import os
+
 import pytest
 
+from spinldp import cli
 from spinldp import duality as du
 from spinldp import finite_jump as fj
 from spinldp import verification as vf
@@ -103,3 +107,43 @@ def test_criterion_7_values_golden_hex(monkeypatch):
     assert res.passed
     # the 17th variational call is criterion 7's two-state counterexample
     assert [(v.hex(), d.hex()) for v, (d, _) in zip(var[:16], dual)] == GOLDEN_C7
+
+
+# sha256 of every file the shipped configs write, run in-process through
+# cli.main: all configs but `verify`, whose full battery takes minutes
+# (`verify_small` is pinned in test_acceptance's criterion 12), and the
+# double-well scan once more at two workers.
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
+SHIPPED = {
+    ("pw-rate", "pw_rate", 1): {
+        "pw_rate.csv": "55d104a2513fcdd5939c0ce3f68e94285c5b5bcaf6ddc59fdba61ad1beb7afab"},
+    ("mag-rate", "mag_rate", 1): {
+        "mag_rate.csv": "341f9af59332730204c36fd3001abdc6cb24a4e1aa496b8224cdfb8ab6900291"},
+    ("mag-bvp", "mag_bvp", 1): {
+        "mag_bvp.csv": "68b56f5b4b47ff6937c32cec4c789368737e757e1c5e96068ac30e7bf61e2e54",
+        "mag_bvp.json": "fb9694f23fda485525287befef8af93cf490898eef0c58487b63c1b02be454e4"},
+    ("fd-lagrangian", "fd_lagrangian", 1): {
+        "fd_lagrangian.json": "de3e7919c604550671a52be0ff5e9f1264764dab4414751d6873b67f3d53137a"},
+    ("lattice-sim", "lattice_sim", 1): {
+        "lattice_events.csv": "92e9feb96694f18b5416bdcb5b629e6456eb053cad93d7d6422f5cd0c816380a",
+        "lattice_final.txt": "33b81aac56a6a6f25dbd15fabf3349020266681b07e8cc6e66c7337183845744",
+        "lattice_moments.csv": "63f9e6237476450ea31faeef456a830db5e06279676b142f50e7743c5d8df210"},
+    ("lattice-check", "lattice_check", 1): {
+        "lattice_check.json": "def4cc02507e33af778ace4dda424c1ad94557911cfcecb7894862df37b0f45e"},
+    ("scan-bad", "scan_bad_bernoulli", 1): {
+        "scan_bad.csv": "dd9a44ebab34d644e97bb70eb77f4a29d74fb886e04850fcab2ca6d68a13efaf"},
+    ("scan-bad", "scan_bad_double_well", 1): {
+        "scan_bad.csv": "7fc62fe38cff7d92a6cc44d47e2f0dd6e2cafa9b49e04ed66718a364ec2c0ae0"},
+    ("scan-bad", "scan_bad_double_well", 2): {
+        "scan_bad.csv": "7fc62fe38cff7d92a6cc44d47e2f0dd6e2cafa9b49e04ed66718a364ec2c0ae0"},
+}
+
+
+@pytest.mark.parametrize("command, config, workers", sorted(SHIPPED))
+def test_shipped_config_outputs_golden_sha256(tmp_path, capsys, command, config, workers):
+    out = tmp_path / "out"
+    code = cli.main([command, os.path.join(CONFIGS, config + ".json"),
+                     "--out-dir", str(out), "--workers", str(workers)])
+    assert code == 0
+    got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
+    assert got == SHIPPED[(command, config, workers)]

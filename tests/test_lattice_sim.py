@@ -6,7 +6,6 @@ import pytest
 
 from spinldp.coefficients import CoefficientMap
 from spinldp.errors import EmptyCell
-from spinldp.finite_jump import product_lagrangian
 from spinldp.lattice import (
     EmpiricalStats,
     LocalRateSpec,
@@ -18,6 +17,7 @@ from spinldp.lattice import (
     nonlinear_generator_general,
     relative_entropy_density_estimate,
 )
+from spinldp.rate_functions import bernoulli_rate
 
 
 def test_configuration_validation():
@@ -114,7 +114,7 @@ def test_entropy_estimate_matches_bernoulli_kl():
     st1 = EmpiricalStats.from_configuration(cfg, 1)
     x = cfg.magnetization()
     est = relative_entropy_density_estimate(st1, 0.1)
-    assert abs(est - product_lagrangian(x, 0.1)) <= 1e-12  # depth 1 is exact algebra
+    assert abs(est - bernoulli_rate(0.1).evaluator(x)) <= 1e-12  # depth 1 is exact algebra
 
 
 def test_entropy_estimate_depth_stable_for_product_samples():

@@ -18,7 +18,6 @@ from spinldp.magnetization import (
     mag_hamiltonian,
     mag_hamiltonian_dp,
     mag_lagrangian,
-    mag_lagrangian_vec,
     mag_mc_pressure,
     mag_model,
     mag_momentum,
@@ -100,15 +99,14 @@ def test_mag_evaluator_matches_public_functions():
     m = np.linspace(-0.95, 0.95, 21)
     q = np.linspace(-3, 3, 21)
     val, _, lv = mag_value_and_partials(m, q)
-    assert np.array_equal(val, mag_lagrangian_vec(m, q))
+    assert np.array_equal(val, mag_lagrangian(m, q))
     assert np.array_equal(lv, mag_momentum(m, q))
 
 
 def _with_full_chain(m, q):
     """The evaluator's three arrays with the boundary chain applied unconditionally."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        m, q, r, u, log_u = _ratio_log(m, q)
-        val = _boundary_cases(m, q, 0.5 * q * log_u - 0.5 * r + 1.0)
+        val, u, log_u = _boundary_cases(*_ratio_log(m, q))
         return val, 0.5 * (u - 1.0 / u), 0.5 * log_u
 
 
@@ -154,7 +152,7 @@ def _lagrangian_inputs():
 def test_mag_lagrangian_scalar_branch_equals_0d_path():
     ms, qs = _lagrangian_inputs()
     with np.errstate(over="ignore"):  # q = +-1e300 overflows q * q on either path
-        ref = np.array([float(mag_lagrangian_vec(np.asarray(m), np.asarray(q))) for m, q in zip(ms, qs)])
+        ref = np.array([mag_lagrangian(np.asarray(m), np.asarray(q)) for m, q in zip(ms, qs)])
         outs = {cast: [mag_lagrangian(cast(m), cast(q)) for m, q in zip(ms, qs)]
                 for cast in (float, np.float64)}
     for out in outs.values():
@@ -183,11 +181,43 @@ def test_lagrangian_finite_where_q_squared_overflows(m, q):
     asymptote = (abs(q) / 2) * (math.log(abs(q) / (1.0 - m if q > 0 else 1.0 + m)) - 1.0) + 1.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        values = [mag_lagrangian_vec(m, q), mag_lagrangian(m, q),
+        values = [mag_lagrangian(np.asarray(m), np.asarray(q)), mag_lagrangian(m, q),
                   mag_value_and_partials(np.array([m, 0.1]), np.array([q, 0.5]))[0][0]]
     for v in values:
         assert math.isfinite(v)
         assert abs(v - asymptote) <= 1e-12 * asymptote
+
+
+@pytest.mark.parametrize("m", [0.3, -0.7, 0.0])
+@pytest.mark.parametrize("q", [1e300, -1e300, 2e154, -2e154])
+def test_partials_finite_where_q_squared_overflows(m, q):
+    # u = e^{2p*} is about |q|/(1 - m) for q > 0 and (1 + m)/|q| for q < 0, so
+    # dL/dv = log(u)/2 and dL/dm = (u - 1/u)/2 are finite, like the value
+    ratio = abs(q) / (1.0 - m if q > 0 else 1.0 + m)
+    sign = 1.0 if q > 0 else -1.0
+    want_dv, want_dm = sign * 0.5 * math.log(ratio), sign * 0.5 * ratio
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = mag_value_and_partials(np.array([m, 0.1]), np.array([q, 0.5]))
+        scalar = mag_value_and_partials(m, q)
+        momentum = mag_momentum(m, q)
+    for _, dm, dv in (tuple(x[0] for x in batch), scalar):
+        assert abs(dv - want_dv) <= 1e-12 * abs(want_dv)
+        assert abs(dm - want_dm) <= 1e-12 * abs(want_dm)
+    assert momentum == batch[2][0] == scalar[2]
+
+
+def test_overflow_repair_keeps_the_other_nodes_bytes():
+    # the boundary chain runs in both calls (m = +-1 nodes); only the
+    # overflow nodes differ between them
+    m = np.array([-0.9, -0.4, 0.3, 0.3, 0.0, 1.0, 0.6, -1.0, 0.2])
+    q = np.array([-2.0, 0.7, 1e300, -1e300, 0.0, 0.7, 3e200, -0.5, 1.5])
+    over = np.abs(q) > 1e154
+    got = mag_value_and_partials(m, q)
+    want = mag_value_and_partials(m[~over], q[~over])
+    for a, b in zip(got, want):
+        assert a[~over].tobytes() == b.tobytes()
+        assert np.isfinite(a[over]).all()
 
 
 def test_hamilton_rhs_reference():

@@ -13,7 +13,6 @@ import math
 import numpy as np
 import pytest
 
-from spinldp.finite_jump import bernoulli_kl_vec
 from spinldp.rate_functions import bernoulli_rate, double_well_rate
 
 SPECS = {"bernoulli": bernoulli_rate(0.5), "double_well": double_well_rate(1.5)}
@@ -66,9 +65,6 @@ def test_nan_state_gives_nan_on_every_path():
         assert math.isnan(spec.evaluator(np.asarray(math.nan)))
         vec = spec.evaluator(np.array([0.2, math.nan, -0.4]))
         assert math.isnan(vec[1]) and not np.isnan(vec[[0, 2]]).any()
-    assert math.isnan(bernoulli_kl_vec(math.nan, 0.3))
-    kl = bernoulli_kl_vec(np.array([1.0, math.nan, -1.0]), 0.3)
-    assert math.isnan(kl[1]) and not np.isnan(kl[[0, 2]]).any()
 
 
 def test_bernoulli_bits_unchanged_off_nan():
@@ -80,4 +76,3 @@ def test_bernoulli_bits_unchanged_off_nan():
     assert _sha(spec.evaluator(xs)) == want
     assert _sha([spec.evaluator(float(x)) for x in xs]) == want
     assert _sha([float(spec.evaluator(np.asarray(x))) for x in xs]) == want
-    assert _sha(bernoulli_kl_vec(xs, 0.3)) == "f1b0043cf7d0f77dc4c0ef8e1afe7f203ec645f953266c105a08ec05fad99e9f"

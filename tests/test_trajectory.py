@@ -120,6 +120,22 @@ def test_minimize_fixed_no_feasible_path():
         minimize_action_fixed(problem, steps=50, seed=0)
 
 
+@pytest.mark.parametrize("start, end", [
+    (FixedStart(0.0), 1.5), (FixedStart(0.0), -1.0 - 1e-12), (FixedStart(1.2), 0.0),
+    (FixedStart(-1.5), 0.0), (OpenStart(bernoulli_rate(0.3)), 1.01), (FixedStart(0.0), math.nan),
+])
+def test_problem_outside_the_domain_raises(start, end):
+    # a path that ends (or starts) outside [-1, 1] is never evaluated there,
+    # so the problem itself refuses it
+    with pytest.raises(PathLeavesDomain):
+        ActionProblem(MODEL, start, end, 1.0)
+
+
+def test_problem_on_the_domain_edge_or_unbounded_is_accepted():
+    ActionProblem(MODEL, FixedStart(1.0), -1.0, 1.0)
+    ActionProblem(pw_model(PoissonWalkParams(2.0, 1.0, 1)), FixedStart(-5.0), 7.0, 1.0)
+
+
 def _with_failing_extremal(error):
     def extremal(m0, mT, T):
         raise error("no closed form here")
