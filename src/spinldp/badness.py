@@ -7,7 +7,10 @@ An endpoint is bad when M* has at least two elements and tiny endpoint
 perturbations mT +- delta 2^-n select single minimizers converging to two
 distinct elements of M*: the scalar transcription of approximating-sequence
 badness detection, with the start magnetization playing the conditioned
-observable.
+observable.  M* comes from open-start CG solves of the discretized action;
+the branch selections read K_T's closed form (mag_endpoint_rate) on a grid
+of starts, so bad endpoints are read off the value function rather than
+re-solved.
 
 Nature/nurture: a minimizer is "nature" when its start is closer to the
 zero-cost preimage of the endpoint (pay the static cost, ride the drift)
@@ -26,7 +29,7 @@ import numpy as np
 
 from .errors import SpinLDPError
 from .io_utils import write_csv
-from .magnetization import mag_model
+from .magnetization import mag_endpoint_rate, mag_model
 from .rate_functions import RateFunctionSpec, bernoulli_rate, double_well_rate, tabulated_rate
 from .seeding import child_seed, ordered_map
 from .trajectory import (
@@ -35,7 +38,6 @@ from .trajectory import (
     OpenStart,
     minimize_action_fixed,
     minimize_action_open_start,
-    minimize_action_open_starts,
 )
 
 __all__ = [
@@ -49,8 +51,10 @@ __all__ = [
     "rate_function_from_descriptor",
 ]
 
-# is_bad solves the perturbed endpoints mT +- delta 2^-n for n < _N_LEVELS.
+# is_bad selects a branch at each perturbed endpoint mT +- delta 2^-n, n < _N_LEVELS,
+# as the argmin of I + K_T over the starts _M_GRID.
 _N_LEVELS = 5
+_M_GRID = np.linspace(-1.0, 1.0, 4001)
 # nature_nurture_classify's tie band, relative to the anchor separation.
 _DEAD_BAND = 0.10
 
@@ -89,25 +93,31 @@ def transition_cost(model, m_start: float, m_end: float, T: float, opts: SolverO
     return value
 
 
-def optimal_initials(
-    I: RateFunctionSpec,
-    mT: float,
-    T: float,
-    opts: SolverOpts = SolverOpts(),
-    model=None,
-):
+def optimal_initials(I: RateFunctionSpec, mT: float, T: float, opts: SolverOpts = SolverOpts()):
     """The cluster set M* of minimizers of m' -> I(m') + K_T(m', mT).
 
     Returns minimize_action_open_start's list of OpenMinimizer records,
     sorted by value (global minimum first).
     """
-    model = model if model is not None else mag_model()
-    problem = ActionProblem(model, OpenStart(I), mT, T)
+    problem = ActionProblem(mag_model(), OpenStart(I), mT, T)
     _, _, cluster = minimize_action_open_start(
         problem, steps=opts.steps_for(T), seed=opts.seed,
         max_iter=opts.max_iter, gtol=opts.gtol,
     )
     return cluster
+
+
+def _branch_start(total: np.ndarray) -> float:
+    """The start on _M_GRID minimizing total, refined by the parabola
+    through the grid minimum and its two neighbours."""
+    i = int(np.argmin(total))
+    if 0 < i < len(total) - 1:
+        lo, mid, hi = total[i - 1], total[i], total[i + 1]
+        curv = lo - 2.0 * mid + hi
+        if curv > 0:
+            h = _M_GRID[1] - _M_GRID[0]
+            return float(_M_GRID[i] + 0.5 * h * (lo - hi) / curv)
+    return float(_M_GRID[i])
 
 
 def is_bad(
@@ -117,23 +127,26 @@ def is_bad(
     epsilon: float = 0.1,
     delta: float = 0.05,
     opts: SolverOpts = SolverOpts(),
-    model=None,
     minimizers=None,
 ):
     """Two-sided branch-selection detector.
 
-    The perturbed endpoints mT + delta 2^-n and mT - delta 2^-n are solved
-    for every level n = 0.._N_LEVELS-1, all ten in one lockstep batch (each
-    result equals its solve alone), and the start of each global minimizer
-    is recorded in diagnostics["plus_branch"] and ["minus_branch"].  Only
-    the last level enters the verdict: True iff M*(mT) has >= 2 elements,
-    the two last-level selections are nearest to two distinct elements of
-    M*, and they are more than epsilon apart.  The earlier levels are not
-    checked for convergence.  Always returns (flag, diagnostics).
+    At the perturbed endpoints e = mT + delta 2^-n and mT - delta 2^-n,
+    n = 0.._N_LEVELS-1, the selected start is the global minimizer of
+    m' -> I(m') + K_T(m', e), with K_T the closed-form continuum endpoint
+    rate mag_endpoint_rate: the argmin over the fixed grid _M_GRID, refined
+    by a three-point parabola.  I is evaluated once, on that grid.  The
+    selections are recorded in diagnostics["plus_branch"] and
+    ["minus_branch"]; they differ from an open-start CG solve at e by the
+    discretization error of its action, O(dt).  Only the last level enters
+    the verdict: True iff M*(mT) (from optimal_initials, CG) has >= 2
+    elements, the two last-level selections are nearest to two distinct
+    elements of M*, and they are more than epsilon apart.  The earlier
+    levels are not checked for convergence.  An endpoint outside [-1, 1]
+    raises PathLeavesDomain.  Always returns (flag, diagnostics).
     """
-    model = model if model is not None else mag_model()
     if minimizers is None:
-        minimizers = optimal_initials(I, mT, T, opts=opts, model=model)
+        minimizers = optimal_initials(I, mT, T, opts=opts)
     diag = {
         "n_minimizers": len(minimizers),
         "gamma0": [m.gamma0 for m in minimizers],
@@ -143,14 +156,11 @@ def is_bad(
     if len(minimizers) < 2:
         return False, diag
 
-    start = OpenStart(I)
-    ends = [mT + sign * (delta * 2.0**-n) for n in range(_N_LEVELS) for sign in (+1.0, -1.0)]
-    solves = minimize_action_open_starts(
-        [ActionProblem(model, start, end, T) for end in ends],
-        steps=opts.steps_for(T), seed=opts.seed, max_iter=opts.max_iter, gtol=opts.gtol,
-    )
-    for k, (_, _, sel) in enumerate(solves):
-        diag["minus_branch" if k % 2 else "plus_branch"].append(sel[0].gamma0)
+    static = np.asarray(I.evaluator(_M_GRID), dtype=float)
+    for n in range(_N_LEVELS):
+        for sign, key in ((+1.0, "plus_branch"), (-1.0, "minus_branch")):
+            end = mT + sign * (delta * 2.0**-n)
+            diag[key].append(_branch_start(static + mag_endpoint_rate(_M_GRID, end, T)))
 
     g_star = np.array([m.gamma0 for m in minimizers])
     plus = diag["plus_branch"][-1]
@@ -170,7 +180,6 @@ def nature_nurture_classify(
     mT: float,
     T: float,
     opts: SolverOpts = SolverOpts(),
-    model=None,
     minimizers=None,
 ):
     """Per-minimizer nature/nurture labels plus an aggregate.
@@ -181,10 +190,9 @@ def nature_nurture_classify(
     Returns (label, records) with records of
     (gamma0, label, d_nature, d_nurture).
     """
-    model = model if model is not None else mag_model()
     if minimizers is None:
-        minimizers = optimal_initials(I, mT, T, opts=opts, model=model)
-    anchor = float(model.flow(mT, -T)) if model.flow is not None else mT
+        minimizers = optimal_initials(I, mT, T, opts=opts)
+    anchor = float(mag_model().flow(mT, -T))
     wells = I.minimizers
     records = []
     for m in minimizers:
@@ -244,11 +252,10 @@ def _scan_cell(args):
     (kind, params, T, mT, epsilon, delta, opts, master_seed, index) = args
     I = rate_function_from_descriptor(kind, params)
     opts = replace(opts, seed=child_seed(master_seed, index))
-    model = mag_model()
     try:
-        mins = optimal_initials(I, mT, T, opts=opts, model=model)
-        bad, diag = is_bad(I, mT, T, epsilon, delta, opts=opts, model=model, minimizers=mins)
-        label, records = nature_nurture_classify(I, mT, T, opts=opts, model=model, minimizers=mins)
+        mins = optimal_initials(I, mT, T, opts=opts)
+        bad, diag = is_bad(I, mT, T, epsilon, delta, opts=opts, minimizers=mins)
+        label, records = nature_nurture_classify(I, mT, T, opts=opts, minimizers=mins)
         best = records[0]
         branches = ()
         if diag["plus_branch"]:

@@ -107,7 +107,10 @@ def _grid(spec, where):
         start = _need_number(spec, "start", where=where + ".")
         stop = _need_number(spec, "stop", where=where + ".")
         num = _need_int(spec, "num", lo=1, where=where + ".")
-        if spec.get("log"):
+        log = spec.get("log", False)
+        if not isinstance(log, bool):
+            raise ConfigError(f"{where}.log: expected true or false, got {log!r}")
+        if log:
             if start <= 0 or stop <= 0:
                 raise ConfigError(f"{where}: log grid needs positive endpoints")
             return list(np.logspace(math.log10(start), math.log10(stop), num))

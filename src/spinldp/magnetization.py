@@ -15,8 +15,9 @@ produced by the conjugation itself; it is the unique choice with
 L(m, -2m) = 0 along the deterministic drift.
 
 The module also carries the exact finite-N oracle (binomial convolution for
-the time-T magnetization) and the time-t constrained pressure for a tilt on
-a single spin, whose t-derivative at 0 reproduces H.
+the time-T magnetization), the time-t constrained pressure for a tilt on
+a single spin, whose t-derivative at 0 reproduces H, and its Legendre
+transform, the closed-form endpoint rate K_T(m0, mT).
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ __all__ = [
     "mag_extremal",
     "mag_exact_log_prob",
     "mag_constrained_pressure",
+    "mag_endpoint_rate",
     "mag_mc_pressure",
     "mag_model",
 ]
@@ -290,6 +292,42 @@ def mag_constrained_pressure(lam: float, m: float, t: float) -> float:
             raise ValueError("tilt too strong for the negative-t probe")
         plus, minus = math.log(arg_plus), math.log(arg_minus)
     return float(0.5 * (1.0 + m) * plus + 0.5 * (1.0 - m) * minus)
+
+
+def mag_endpoint_rate(m0, mT: float, T: float):
+    """K_T(m0, mT): the continuum cost of moving magnetization m0 to mT in time T.
+
+    The Legendre transform sup_lam [lam mT - Lambda(lam)] of
+    mag_constrained_pressure's exponent Lambda.  With s = e^{-2T} and
+    t = tanh(lam*) its stationarity equation loses the cubic term; the root
+    is t = 2(mT - s m0) / (b + sqrt(b^2 + 4 s (s mT - m0)(mT - s m0))),
+    b = 1 - s^2, and K = mT atanh(t) + log(1 - t^2)/2
+    - (1+m0)/2 log(1 + s t) - (1-m0)/2 log(1 - s t), exactly 0 on the
+    drift mT = m0 e^{-2T}.  At |mT| = 1, where t = +-1, the limit
+    -(1 + m0 sgn mT)/2 log((1+s)/2) - (1 - m0 sgn mT)/2 log((1-s)/2) is used.
+
+    Vectorized over m0 (a float for a scalar m0).  Raises PathLeavesDomain
+    when mT or some m0 lies outside [-1, 1].
+    """
+    if not T > 0:
+        raise ValueError("T must be > 0")
+    m0 = np.asarray(m0, dtype=float)
+    if not (-1.0 <= mT <= 1.0 and np.all(np.abs(m0) <= 1.0)):
+        raise PathLeavesDomain(f"endpoint rate needs m0 and mT in [-1, 1], got mT = {mT!r}")
+    s = math.exp(-2.0 * T)
+    b = -math.expm1(-4.0 * T)
+    c = mT - s * m0
+    t = 2.0 * c / (b + np.sqrt(np.maximum(b * b + 4.0 * s * (s * mT - m0) * c, 0.0)))
+    # t rounds to +-1 only at (or within round-off of) |mT| = 1
+    edge = np.abs(t) >= 1.0
+    t = np.where(edge, 0.0, t)
+    # mT atanh(t) + log(1 - t^2)/2, without the cancellation near |t| = 1
+    val = (0.5 * (1.0 + mT) * np.log1p(t) + 0.5 * (1.0 - mT) * np.log1p(-t)
+           - 0.5 * (1.0 + m0) * np.log1p(s * t) - 0.5 * (1.0 - m0) * np.log1p(-s * t))
+    m0_along = math.copysign(1.0, mT) * m0
+    limit = -0.5 * ((1.0 + m0_along) * np.log1p(s) + (1.0 - m0_along) * np.log1p(-s)) + math.log(2.0)
+    val = np.where(edge | (abs(mT) == 1.0), limit, val)
+    return float(val) if val.ndim == 0 else val
 
 
 def mag_mc_pressure(N: int, m0: float, t: float, lam: float, replicas: int, seed):

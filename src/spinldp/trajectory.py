@@ -20,10 +20,8 @@ no static cost, so both entry points share one objective and one solve loop.
 The solver is a generator that yields each point it needs evaluated, and
 one loop (_lockstep) advances every start profile of a solve in
 lockstep, with one objective call per round on a (rows x nodes) batch.
-Problems that differ only in their end point share a batch too: the ten
-branch endpoints of badness.is_bad run as one (minimize_action_open_starts).
 The model's evaluator is elementwise, so every row's result equals its
-solve alone bit for bit; a single solve is the batch of one.
+solve alone bit for bit.
 """
 
 from __future__ import annotations
@@ -46,7 +44,6 @@ __all__ = [
     "action_integral",
     "minimize_action_fixed",
     "minimize_action_open_start",
-    "minimize_action_open_starts",
     "euler_lagrange_residual",
     "hamilton_flow_integrate",
 ]
@@ -421,35 +418,24 @@ def _objective(value_and_partials, dt, head, rate):
     return fun_grad
 
 
-def _minimize(problems, steps, seed, max_iter, gtol):
-    """Multi-start CG solves of problems that differ only in their end point.
+def _minimize(problem, steps, seed, max_iter, gtol):
+    """Multi-start CG solve: every start profile is one row of one _lockstep batch.
 
     A fixed start is the open problem with its first node pinned to m0 and
-    no static cost.  Every start profile of every problem is one row of one
-    _lockstep batch; each problem seeds its profiles from seed, as a solve
-    of it alone would.  Returns, per problem, [(path values, value)] for
-    every start profile with finite action, in profile order.
+    no static cost.  Returns [(path values, value)] for every start profile
+    with finite action, in profile order.
     """
-    model, start, T = problems[0].model, problems[0].start, problems[0].horizon
-    if any(p.model != model or p.start != start or p.horizon != T for p in problems):
-        raise ValueError("batched problems must share the model, the start and the horizon")
+    model, start, mT, T = problem.model, problem.start, problem.end, problem.horizon
     if isinstance(start, FixedStart):
         head, rate = [start.m0], None
     else:
         head, rate = [], start.rate_function
-    owner, starts, tails = [], [], []
-    for k, p in enumerate(problems):
-        for cand in _start_profiles(model, start, p.end, T, steps, rng_from(seed)):
-            owner.append(k)
-            starts.append(cand[len(head):-1])
-            tails.append(p.end)
+    profiles = _start_profiles(model, start, mT, T, steps, rng_from(seed))
+    starts = [cand[len(head):-1] for cand in profiles]
     fun_grad = _objective(model.value_and_partials, T / steps, head, rate)
-    found = [[] for _ in problems]
-    results = _lockstep(fun_grad, starts, np.array(tails, dtype=float), max_iter, gtol)
-    for k, mT, res in zip(owner, tails, results):
-        if res is not None:
-            found[k].append((np.concatenate([head, res[0], [mT]]), res[1]))
-    if not all(found):
+    results = _lockstep(fun_grad, starts, np.full(len(starts), float(mT)), max_iter, gtol)
+    found = [(np.concatenate([head, res[0], [mT]]), res[1]) for res in results if res is not None]
+    if not found:
         raise NoFeasiblePath("every start profile has infinite action")
     return found
 
@@ -468,7 +454,7 @@ def minimize_action_fixed(
     """
     if not isinstance(problem.start, FixedStart):
         raise ValueError("minimize_action_fixed needs a FixedStart problem")
-    path, value = min(_minimize([problem], steps, seed, max_iter, gtol)[0], key=lambda r: r[1])
+    path, value = min(_minimize(problem, steps, seed, max_iter, gtol), key=lambda r: r[1])
     return TrajectoryGrid(T=problem.horizon, steps=steps, values=path), value
 
 
@@ -508,34 +494,12 @@ def minimize_action_open_start(
     transversality residual |p(0) - I'(gamma_0)|, the stationarity
     condition of the free-start variation.
     """
-    return minimize_action_open_starts([problem], steps, seed, max_iter, gtol)[0]
-
-
-def minimize_action_open_starts(
-    problems,
-    steps: int,
-    seed: int = 0,
-    max_iter: int = 2000,
-    gtol: float = 1e-9,
-):
-    """minimize_action_open_start of every problem, solved in one batch.
-
-    The problems must share the model, the OpenStart and the horizon; only
-    their end points differ.  Returns one (best trajectory, best value,
-    minimizers) per problem, each equal bit for bit to its solve alone.
-    """
-    if not all(isinstance(p.start, OpenStart) for p in problems):
+    if not isinstance(problem.start, OpenStart):
         raise ValueError("minimize_action_open_start needs an OpenStart problem")
-    return [_open_result(p, steps, found)
-            for p, found in zip(problems, _minimize(problems, steps, seed, max_iter, gtol))]
-
-
-def _open_result(problem, steps, found):
-    """(best trajectory, best value, cluster set) from one problem's CG results."""
     T = problem.horizon
     rate = problem.start.rate_function
     mins = []
-    for path, value in found:
+    for path, value in _minimize(problem, steps, seed, max_iter, gtol):
         traj = TrajectoryGrid(T=T, steps=steps, values=path)
         p0 = _initial_momentum(problem.model, traj)
         resid = abs(p0 - float(rate.derivative(path[0])))

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from spinldp.badness import (
     SolverOpts,
@@ -13,7 +14,7 @@ from spinldp.badness import (
     rate_function_from_descriptor,
     transition_cost,
 )
-from spinldp.magnetization import mag_model
+from spinldp.magnetization import mag_endpoint_rate, mag_model
 from spinldp.rate_functions import bernoulli_rate, double_well_rate, tabulated_rate
 from spinldp.trajectory import (
     ActionProblem,
@@ -195,19 +196,64 @@ def test_descriptor_round_trip():
         rate_function_from_descriptor("unknown", ())
 
 
-def test_is_bad_branches_equal_solo_solves():
-    # the golden double-well cell: each of the ten endpoints mT +- delta 2^-n,
-    # solved alone (a batch of one), selects the start the batch recorded
-    opts = SolverOpts(dt_target=0.02, min_steps=60, max_iter=400, gtol=1e-8, seed=3)
-    rate, mT, T = double_well_rate(1.5), 0.0, 1.0
+GOLDEN_CELL = (double_well_rate(1.5), 0.0, 1.0)
+
+
+def _golden_opts(min_steps):
+    return SolverOpts(dt_target=0.02, min_steps=min_steps, max_iter=400, gtol=1e-8, seed=3)
+
+
+def _ends(mT, delta=0.05):
+    """The branch endpoints of is_bad, in diagnostics order, per level n."""
+    return [(mT + sign * (delta * 2.0**-n), key) for n in range(5)
+            for sign, key in ((+1.0, "plus_branch"), (-1.0, "minus_branch"))]
+
+
+@pytest.mark.parametrize("T", [0.5, 1.0, 3.0])
+def test_is_bad_branches_equal_dense_minimization(T):
+    # each selection is the global minimizer of I + K_T at its endpoint,
+    # found here by a 20001-point scan polished by a bounded Brent search
+    rate, mT = double_well_rate(1.5), 0.0
+    mins = optimal_initials(rate, mT, T, opts=FAST)
+    assert len(mins) == 2
+    _, diag = is_bad(rate, mT, T, opts=FAST, minimizers=mins)
+    xs = np.linspace(-1.0, 1.0, 20001)
+    static = rate.evaluator(xs)
+    for k, (end, key) in enumerate(_ends(mT)):
+        x0 = xs[int(np.argmin(static + mag_endpoint_rate(xs, end, T)))]
+        res = minimize_scalar(lambda x: float(rate.evaluator(x)) + mag_endpoint_rate(x, end, T),
+                              bounds=(x0 - 2e-4, x0 + 2e-4), method="bounded",
+                              options={"xatol": 1e-12})
+        assert abs(diag[key][k // 2] - res.x) <= 1e-6
+
+
+def test_is_bad_branches_converge_to_cg_at_first_order_in_dt():
+    # CG's open-start solve at each branch endpoint carries the O(dt) error of
+    # the discrete action: doubling the step count halves its gap to the
+    # continuum selection
+    rate, mT, T = GOLDEN_CELL
+    gaps = []
+    for steps in (60, 120):
+        opts = _golden_opts(steps)
+        _, diag = is_bad(rate, mT, T, opts=opts)
+        gaps.append([])
+        for k, (end, key) in enumerate(_ends(mT)):
+            _, _, sel = minimize_action_open_start(
+                ActionProblem(MODEL, OpenStart(rate), end, T), steps=steps, seed=opts.seed,
+                max_iter=opts.max_iter, gtol=opts.gtol)
+            gaps[-1].append(abs(sel[0].gamma0 - diag[key][k // 2]))
+    assert max(gaps[0]) <= 1e-3
+    for coarse, fine in zip(*gaps):
+        assert 0.4 <= fine / coarse <= 0.6
+
+
+def test_is_bad_branch_endpoint_on_the_domain_edge_is_finite():
+    # delta = 1 puts the level-0 branch endpoints exactly at +-1
+    rate, mT, T = GOLDEN_CELL
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        flag, diag = is_bad(rate, mT, T, epsilon=0.1, delta=0.05, opts=opts)
-        assert flag
-        for n in range(5):
-            for sign, key in ((+1.0, "plus_branch"), (-1.0, "minus_branch")):
-                problem = ActionProblem(MODEL, OpenStart(rate), mT + sign * (0.05 * 2.0**-n), T)
-                _, _, sel = minimize_action_open_start(
-                    problem, steps=opts.steps_for(T), seed=opts.seed,
-                    max_iter=opts.max_iter, gtol=opts.gtol)
-                assert sel[0].gamma0.hex() == diag[key][n].hex()
+        flag, diag = is_bad(rate, mT, T, delta=1.0, opts=_golden_opts(60))
+    assert flag
+    for key in ("plus_branch", "minus_branch"):
+        assert all(math.isfinite(x) and -1.0 <= x <= 1.0 for x in diag[key])
+    assert diag["plus_branch"][0] > 0 > diag["minus_branch"][0]

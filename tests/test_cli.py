@@ -1,6 +1,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from spinldp import cli
@@ -278,6 +279,23 @@ def test_invalid_config_value_exits_2(tmp_path, capsys, command, cfg, field):
     path.write_text(json.dumps(cfg))
     assert run([command, str(path), "--out-dir", str(tmp_path / "o")]) == 2
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("log", ["false", 1, "yes"])
+def test_grid_log_flag_must_be_a_json_boolean(tmp_path, capsys, log):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**SCAN, "T_grid": {"start": 0.1, "stop": 1.0, "num": 3, "log": log}}))
+    assert run(["scan-bad", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+    assert "T_grid.log:" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "scan_bad.csv").exists()
+
+
+@pytest.mark.parametrize("flag, grid", [
+    ({}, [0.1, 0.55, 1.0]), ({"log": False}, [0.1, 0.55, 1.0]), ({"log": True}, [0.1, 10 ** -0.5, 1.0]),
+])
+def test_grid_log_flag_picks_the_spacing(flag, grid):
+    got = cli._grid({"start": 0.1, "stop": 1.0, "num": 3, **flag}, "T_grid")
+    assert np.allclose(got, grid, rtol=1e-14)
 
 
 @pytest.mark.parametrize("cfg, field", [

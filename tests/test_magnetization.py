@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 
 from spinldp.duality import duality_gap
 from spinldp.errors import PathLeavesDomain
@@ -12,6 +13,7 @@ from spinldp.magnetization import (
     _boundary_cases,
     _ratio_log,
     mag_constrained_pressure,
+    mag_endpoint_rate,
     mag_exact_log_prob,
     mag_extremal,
     mag_hamilton_rhs,
@@ -330,3 +332,65 @@ def test_oracle_rate_decreases_toward_action():
         gaps.append(abs(rate - action))
     assert gaps[-1] < gaps[0]
     assert gaps[-1] <= 0.05
+
+
+def test_endpoint_rate_zero_on_drift_and_nonnegative():
+    m0 = np.linspace(-1.0, 1.0, 41)
+    for T in (0.01, 0.3, 1.0, 4.0):
+        for x in m0:
+            assert mag_endpoint_rate(x, x * math.exp(-2.0 * T), T) == 0.0
+        for mT in np.linspace(-1.0, 1.0, 41):
+            assert np.all(mag_endpoint_rate(m0, float(mT), T) >= 0.0)
+
+
+@pytest.mark.parametrize("m0, mT, T", [
+    (0.3, 0.5, 1.0), (-0.8, 0.7, 0.3), (0.5, -0.9, 2.0), (0.9, 0.95, 0.05), (0.0, 0.0, 0.7),
+    (-0.2, -0.6, 0.1), (1.0, 0.3, 0.5), (-1.0, 0.3, 0.5),
+])
+def test_endpoint_rate_is_legendre_transform_of_constrained_pressure(m0, mT, T):
+    res = minimize_scalar(lambda lam: mag_constrained_pressure(lam, m0, T) - lam * mT,
+                          bracket=(-1.0, 1.0), tol=1e-12)
+    assert abs(mag_endpoint_rate(m0, mT, T) + res.fun) <= 1e-12
+
+
+@pytest.mark.parametrize("m0, mT, T", [(0.2, -0.4, 1.0), (0.6, 0.1, 0.3), (-0.5, 0.7, 2.0)])
+def test_endpoint_rate_is_large_n_limit_of_exact_oracle(m0, mT, T):
+    # -log P / N = K_T + (1/2) log N / N + O(1/N): the Gaussian prefactor
+    ns = np.arange(100, 1001, 100)
+    excess = np.array([-mag_exact_log_prob(int(n), m0, T, mT) / n for n in ns])
+    excess -= mag_endpoint_rate(m0, mT, T)
+    (c, _), *_ = np.linalg.lstsq(np.column_stack([np.log(ns) / ns, 1.0 / ns]), excess, rcond=None)
+    assert 0.45 <= c <= 0.55
+
+
+def test_endpoint_rate_limit_at_the_domain_edge():
+    m0 = np.linspace(-1.0, 1.0, 21)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for T in (0.05, 1.0, 3.0):
+            for edge in (1.0, -1.0):
+                at = mag_endpoint_rate(m0, edge, T)
+                near = mag_endpoint_rate(m0, edge * (1.0 - 1e-12), T)
+                assert np.all(np.isfinite(at))
+                assert np.max(np.abs(at - near)) <= 1e-9
+                s = math.exp(-2.0 * T)
+                closed = (-0.5 * (1.0 + edge * m0) * math.log((1.0 + s) / 2.0)
+                          - 0.5 * (1.0 - edge * m0) * math.log((1.0 - s) / 2.0))
+                assert np.max(np.abs(at - closed)) <= 1e-12
+
+
+def test_endpoint_rate_finite_from_the_poles():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for mT in (-1.0, -0.5, 0.0, 0.7, 1.0):
+            vals = mag_endpoint_rate(np.array([-1.0, 1.0]), mT, 0.4)
+            assert np.all(np.isfinite(vals)) and np.all(vals >= 0.0)
+
+
+def test_endpoint_rate_rejects_points_outside_the_domain():
+    with pytest.raises(PathLeavesDomain):
+        mag_endpoint_rate(0.0, 1.0 + 1e-12, 1.0)
+    with pytest.raises(PathLeavesDomain):
+        mag_endpoint_rate(np.array([0.0, -1.5]), 0.0, 1.0)
+    with pytest.raises(ValueError):
+        mag_endpoint_rate(0.0, 0.0, 0.0)

@@ -26,7 +26,6 @@ from spinldp.trajectory import (
     hamilton_flow_integrate,
     minimize_action_fixed,
     minimize_action_open_start,
-    minimize_action_open_starts,
 )
 
 MODEL = mag_model()
@@ -298,30 +297,3 @@ def test_lockstep_rows_equal_solo_solves_beside_an_infinite_row():
             (x, f), = tr._lockstep(fun_grad, [starts[i]], tails[[i]], 400, 1e-10)
             assert batch[i][0].tobytes() == x.tobytes()
             assert batch[i][1].hex() == f.hex()
-
-
-def test_open_start_batch_equals_solo_solves():
-    # ends at and near the domain edge: some rounds evaluate +inf points in
-    # some rows and finite ones in others
-    model, mixed = _mixed_round_counter(MODEL)
-    start = OpenStart(double_well_rate(1.5))
-    problems = [ActionProblem(model, start, mT, 1.0) for mT in (0.0, 0.95, -1.0, 1.0)]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        batch = minimize_action_open_starts(problems, steps=50, seed=4, max_iter=300, gtol=1e-8)
-        assert mixed
-        for problem, (traj, val, mins) in zip(problems, batch):
-            traj1, val1, mins1 = minimize_action_open_start(problem, steps=50, seed=4,
-                                                            max_iter=300, gtol=1e-8)
-            assert traj.values.tobytes() == traj1.values.tobytes()
-            assert float(val).hex() == float(val1).hex()
-            assert [m.gamma0.hex() for m in mins] == [m.gamma0.hex() for m in mins1]
-
-
-def test_open_start_batch_needs_one_model_start_and_horizon():
-    start = OpenStart(bernoulli_rate(0.5))
-    for other in (ActionProblem(mag_model(), start, 0.2, 1.0),
-                  ActionProblem(MODEL, OpenStart(bernoulli_rate(0.3)), 0.2, 1.0),
-                  ActionProblem(MODEL, start, 0.2, 2.0)):
-        with pytest.raises(ValueError):
-            minimize_action_open_starts([ActionProblem(MODEL, start, 0.0, 1.0), other], steps=20)
