@@ -8,7 +8,7 @@ Modules:
   trajectory     action integrals, minimizers, Euler-Lagrange residuals
   rate_functions static initial rate functions (bernoulli, double well)
   badness        non-unique optimal histories and nature/nurture labels
-  lattice        exact torus dynamics, operator algebra, empirical measures
+  lattice        exact torus dynamics, operator algebra, replica moment series
   kernels        the exact lattice event kernel (composition-rejection)
   cli            JSON-configured experiment commands
 """

@@ -61,12 +61,13 @@ _DEAD_BAND = 0.10
 
 @dataclass(frozen=True)
 class SolverOpts:
-    """Resolution/budget bundle passed through to the trajectory solvers."""
+    """Resolution/budget bundle passed through to the trajectory solvers; its
+    defaults are scan-bad's, and criterion 10 reads them from here too."""
 
-    dt_target: float = 0.005
-    min_steps: int = 240
-    max_iter: int = 3000
-    gtol: float = 1e-9
+    dt_target: float = 0.02
+    min_steps: int = 100
+    max_iter: int = 800
+    gtol: float = 1e-8
     seed: object = 0
 
     def steps_for(self, T: float) -> int:
@@ -74,13 +75,18 @@ class SolverOpts:
 
 
 def rate_function_from_descriptor(kind: str, params) -> RateFunctionSpec:
+    """The rate function of a (kind, params) descriptor; ValueError for an
+    unknown kind or a params list of the wrong length."""
+    n_params = {"bernoulli": 1, "double_well": 1, "tabulated": 2}.get(kind)
+    if n_params is None:
+        raise ValueError(f"unknown rate function kind {kind!r}")
+    if len(params) != n_params:
+        raise ValueError(f"params: {kind} needs a list of {n_params}, got {len(params)}")
     if kind == "bernoulli":
         return bernoulli_rate(float(params[0]))
     if kind == "double_well":
         return double_well_rate(float(params[0]))
-    if kind == "tabulated":
-        return tabulated_rate(params[0], params[1])
-    raise ValueError(f"unknown rate function kind {kind!r}")
+    return tabulated_rate(params[0], params[1])
 
 
 def transition_cost(model, m_start: float, m_end: float, T: float, opts: SolverOpts = SolverOpts()) -> float:

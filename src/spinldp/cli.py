@@ -86,7 +86,10 @@ def _int_or(cfg, field, default, lo=None, hi=None, where=""):
 def _need_seed(cfg):
     if "seed" not in cfg:
         raise ConfigError("seed: a master seed is mandatory for stochastic commands")
-    return int(_need(cfg, "seed", (int,)))
+    seed = _need(cfg, "seed", (int,))
+    if seed < 0:
+        raise ConfigError(f"seed: must be >= 0, got {seed}")
+    return seed
 
 
 def _odd_side(v, where):
@@ -131,7 +134,7 @@ def _rates_from_config(spec, where="rates"):
         dim = _need_int(spec, "dim", lo=1, hi=2, where=where + ".")
         return lat.LocalRateSpec.random_table(
             dim, _need_int(spec, "radius", lo=0, where=where + "."),
-            _need_int(spec, "seed", where=where + "."),
+            _need_int(spec, "seed", lo=0, where=where + "."),
             _number_or(spec, "lo", 0.2, lo=1e-12, where=where + "."),
             _number_or(spec, "hi", 5.0, lo=1e-12, where=where + "."))
     raise ConfigError(f"{where}.kind: unknown kind {kind!r}")
@@ -278,11 +281,12 @@ def cmd_scan_bad(cfg, out_dir, workers):
     if not all(-1.0 <= m <= 1.0 for m in mT_grid):
         raise ConfigError(f"mT_grid: every endpoint must lie in [-1, 1], got {mT_grid}")
     solver = _need(cfg, "solver", dict) if "solver" in cfg else {}
+    default = bd.SolverOpts()
     opts = bd.SolverOpts(
-        dt_target=_number_or(solver, "dt_target", 0.02, lo=1e-12, where="solver."),
-        min_steps=_int_or(solver, "min_steps", 100, lo=1, where="solver."),
-        max_iter=_int_or(solver, "max_iter", 800, lo=1, where="solver."),
-        gtol=_number_or(solver, "gtol", 1e-8, lo=0.0, where="solver."),
+        dt_target=_number_or(solver, "dt_target", default.dt_target, lo=1e-12, where="solver."),
+        min_steps=_int_or(solver, "min_steps", default.min_steps, lo=1, where="solver."),
+        max_iter=_int_or(solver, "max_iter", default.max_iter, lo=1, where="solver."),
+        gtol=_number_or(solver, "gtol", default.gtol, lo=0.0, where="solver."),
     )
     result = bd.badness_scan(
         kind, params, T_grid, mT_grid,
@@ -408,6 +412,8 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg["seed"] = args.seed
         out_dir = args.out_dir or cfg.get("out_dir", "out")
+        if not isinstance(out_dir, str) or not out_dir:
+            raise ConfigError(f"out_dir: expected a non-empty path string, got {out_dir!r}")
         if args.workers < 1:
             raise ConfigError("workers: must be >= 1")
         os.makedirs(out_dir, exist_ok=True)

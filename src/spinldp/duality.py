@@ -19,6 +19,8 @@ from .errors import NonCoercive, NotConvex
 ARGMAX_TOL = 1e-8
 # conjugate declares NonCoercive after this many bracket doublings on a side.
 _MAX_DOUBLINGS = 60
+# conjugate's default starting bracket, and the one duality_gap always uses.
+_BRACKET = (-50.0, 50.0)
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -61,7 +63,7 @@ def conjugate(
     fn: Callable[[float], float],
     slope: float,
     deriv: Optional[Callable[[float], float]] = None,
-    bracket: tuple[float, float] = (-50.0, 50.0),
+    bracket: tuple[float, float] = _BRACKET,
     convexity_check: bool = True,
 ) -> ConjugateResult:
     """sup_p [slope*p - fn(p)] for convex fn on all of R.
@@ -158,7 +160,6 @@ def duality_gap(
     l_family: Callable[[float, float], float],
     state_grid: Sequence[float],
     slope_grid: Sequence[float],
-    bracket: tuple[float, float] = (-50.0, 50.0),
     l_deriv: Optional[Callable[[float, float], float]] = None,
 ) -> float:
     """max over the grid of |H(x,p) - sup_q [p q - L(x,q)]|.
@@ -171,8 +172,8 @@ def duality_gap(
     for x in state_grid:
         fn = lambda q, _x=x: l_family(_x, q)
         deriv = None if l_deriv is None else (lambda q, _x=x: l_deriv(_x, q))
-        _convexity_probe(fn, bracket[0], bracket[1])
+        _convexity_probe(fn, *_BRACKET)
         for p in slope_grid:
-            res = conjugate(fn, p, deriv=deriv, bracket=bracket, convexity_check=False)
+            res = conjugate(fn, p, deriv=deriv, convexity_check=False)
             gap = max(gap, abs(h_family(x, p) - res.value))
     return gap

@@ -49,10 +49,6 @@ class DependenceSetTooLarge(SpinLDPError):
     """Observable's dependence set does not fit inside the torus."""
 
 
-class EmptyCell(SpinLDPError):
-    """Reference measure assigns zero probability to an observed pattern."""
-
-
 class SeriesNotConverged(SpinLDPError):
     """A truncated series did not meet its tail bound within its term budget."""
 

@@ -13,7 +13,6 @@ window.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -26,7 +25,7 @@ from .coefficients import (
     evaluate_translations,
 )
 from .seeding import child_seed, ordered_map, rng_from
-from .errors import ConfigError, EmptyCell
+from .errors import ConfigError
 from . import kernels
 
 __all__ = [
@@ -35,9 +34,6 @@ __all__ = [
     "EventLog",
     "glauber_simulate",
     "glauber_trajectory",
-    "EmpiricalStats",
-    "relative_entropy_density_estimate",
-    "bootstrap_entropy_se",
     "nonlinear_generator_exact",
     "nonlinear_generator_general",
     "moment_series",
@@ -98,17 +94,6 @@ class SpinConfiguration:
 
 def _window_offsets(dim: int, radius: int):
     return list(itertools.product(range(-radius, radius + 1), repeat=dim))
-
-
-def _window_codes(spins: np.ndarray, offsets) -> np.ndarray:
-    """Flattened sum_k bit_k 2^k at every site, bit_k = 1 iff the spin at
-    site + offsets[k] (periodic) is +1."""
-    axes = tuple(range(spins.ndim))
-    codes = np.zeros(spins.shape, dtype=np.int64)
-    for k, o in enumerate(offsets):
-        bit = (np.roll(spins, shift=tuple(-x for x in o), axis=axes) + 1) // 2
-        codes |= bit.astype(np.int64) << k
-    return codes.ravel()
 
 
 @dataclass(frozen=True)
@@ -197,7 +182,15 @@ class LocalRateSpec:
         return self.table[self._codes(config)]
 
     def _codes(self, config: SpinConfiguration) -> np.ndarray:
-        return _window_codes(config.values, self.offsets)
+        """Flattened sum_k bit_k 2^k at every site, bit_k = 1 iff the spin at
+        site + offsets[k] (periodic) is +1."""
+        spins = config.values
+        axes = tuple(range(spins.ndim))
+        codes = np.zeros(spins.shape, dtype=np.int64)
+        for k, o in enumerate(self.offsets):
+            bit = (np.roll(spins, shift=tuple(-x for x in o), axis=axes) + 1) // 2
+            codes |= bit.astype(np.int64) << k
+        return codes.ravel()
 
 
 @dataclass(frozen=True)
@@ -272,83 +265,6 @@ def glauber_trajectory(
         out.append(current)
         t_prev = t
     return out
-
-
-@dataclass(frozen=True)
-class EmpiricalStats:
-    """Depth-k cylinder marginal of the empirical measure.
-
-    counts[code] over all translations of the k-window (k sites in d=1, a
-    k x k block in d=2); counts sum to the number of sites exactly.
-    """
-
-    dim: int
-    depth: int
-    counts: np.ndarray
-    total: int
-
-    @property
-    def window_size(self) -> int:
-        return self.depth ** self.dim
-
-    @property
-    def frequencies(self) -> np.ndarray:
-        return self.counts / self.total
-
-    @staticmethod
-    def window_codes(config: SpinConfiguration, depth: int) -> np.ndarray:
-        offsets = itertools.product(range(depth), repeat=config.dim)
-        return _window_codes(config.values, offsets)
-
-    @staticmethod
-    def from_configuration(config: SpinConfiguration, depth: int | None = None) -> "EmpiricalStats":
-        if depth is None:
-            depth = 3 if config.dim == 1 else 2
-        codes = EmpiricalStats.window_codes(config, depth)
-        w = depth ** config.dim
-        counts = np.bincount(codes, minlength=2**w)
-        return EmpiricalStats(config.dim, depth, counts, config.n_sites)
-
-
-def _product_log_probs(dim: int, depth: int, y: float) -> np.ndarray:
-    """log mu_y(pattern) for every code of the depth window."""
-    w = depth**dim
-    codes = np.arange(2**w)
-    ones = np.zeros(2**w, dtype=np.int64)
-    for k in range(w):
-        ones += (codes >> k) & 1
-    return ones * math.log(0.5 * (1.0 + y)) + (w - ones) * math.log(0.5 * (1.0 - y))
-
-
-def _entropy_density(freq: np.ndarray, log_mu: np.ndarray, window_size: int) -> float:
-    """|W|^-1 sum_w freq(w) (log freq(w) - log_mu(w)), with 0 log 0 = 0."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(freq > 0, freq * (np.log(np.where(freq > 0, freq, 1.0)) - log_mu), 0.0)
-    return float(np.sum(terms)) / window_size
-
-
-def relative_entropy_density_estimate(sample: EmpiricalStats, y: float) -> float:
-    """Per-site relative entropy of the sampled window marginal against the
-    product measure with mean y:  |W|^-1 sum_w nu(w) log(nu(w)/mu_y(w)),
-    with 0 log 0 = 0."""
-    if abs(y) >= 1.0:
-        raise EmptyCell("reference assigns zero probability to some pattern")
-    log_mu = _product_log_probs(sample.dim, sample.depth, y)
-    return _entropy_density(sample.frequencies, log_mu, sample.window_size)
-
-
-def bootstrap_entropy_se(config: SpinConfiguration, y: float, depth: int, B: int = 100, seed=0) -> float:
-    """Bootstrap (over window positions) standard error of the estimate."""
-    codes = EmpiricalStats.window_codes(config, depth)
-    n = len(codes)
-    w = depth ** config.dim
-    log_mu = _product_log_probs(config.dim, depth, y)
-    rng = rng_from(seed)
-    vals = np.empty(B)
-    for b in range(B):
-        resampled = codes[rng.integers(0, n, size=n)]
-        vals[b] = _entropy_density(np.bincount(resampled, minlength=2**w) / n, log_mu, w)
-    return float(np.std(vals, ddof=1))
 
 
 def _flip_deltas(config: SpinConfiguration, f: CoefficientMap) -> np.ndarray:

@@ -21,14 +21,13 @@ import numpy as np
 
 from .errors import SeriesNotConverged
 from .io_utils import write_csv
-from .seeding import child_seed, ordered_map, rng_from
+from .seeding import rng_from
 
 __all__ = [
     "PoissonWalkParams",
     "pw_hamiltonian",
     "pw_lagrangian",
     "pw_simulate",
-    "pw_simulate_many",
     "pw_exact_log_prob",
     "pw_rate_convergence",
     "pw_model",
@@ -107,20 +106,6 @@ def pw_simulate(params: PoissonWalkParams, T: float, seed) -> PiecewisePath:
     return PiecewisePath(
         times=np.concatenate([[0.0], times]), values=values, horizon=float(T)
     )
-
-
-def _pw_replica(args):
-    b, d, N, T, master_seed, r = args
-    return pw_simulate(PoissonWalkParams(b, d, N), T, child_seed(master_seed, r))
-
-
-def pw_simulate_many(
-    params: PoissonWalkParams, T: float, replicas: int, master_seed, workers: int = 1
-) -> list[PiecewisePath]:
-    """Independent replicas; stream r is seeded by (master_seed, r), so the
-    result is identical at any worker count."""
-    jobs = [(params.b, params.d, params.N, T, master_seed, r) for r in range(replicas)]
-    return ordered_map(_pw_replica, jobs, workers)
 
 
 _MAX_TERMS = 10_000_000  # summation budget of pw_exact_log_prob

@@ -56,6 +56,8 @@ _DOMAIN_MARGIN = 1e-9
 # of the global minimum whose starts are more than _CLUSTER_GAMMA0 apart.
 _CLUSTER_GAMMA0 = 1e-3
 _CLUSTER_VALUE = 1e-5
+# hamilton_flow_integrate raises DomainExit when the state leaves this interval.
+_FLOW_DOMAIN = (-1.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -556,11 +558,10 @@ def hamilton_flow_integrate(
     T: float,
     dt: float,
     hamiltonian: Optional[Callable] = None,
-    domain: tuple[float, float] = (-1.0, 1.0),
 ) -> FlowResult:
     """Classic fourth-order explicit integration of the Hamilton equations.
 
-    Raises DomainExit when the state leaves the admissible interval.  When a
+    Raises DomainExit when the state leaves _FLOW_DOMAIN.  When a
     hamiltonian is supplied the result carries the max |H(t) - H(0)| drift.
     """
     if dt > T / 100.0:
@@ -580,8 +581,8 @@ def hamilton_flow_integrate(
         k4m, k4p = hamilton_rhs(m + dt * k3m, p + dt * k3p)
         m += dt * (k1m + 2 * k2m + 2 * k3m + k4m) / 6.0
         p += dt * (k1p + 2 * k2p + 2 * k3p + k4p) / 6.0
-        if not (domain[0] - 1e-12 <= m <= domain[1] + 1e-12):
-            raise DomainExit(f"state {m:.6g} left {domain} at t={times[i]:.6g}")
+        if not (_FLOW_DOMAIN[0] - 1e-12 <= m <= _FLOW_DOMAIN[1] + 1e-12):
+            raise DomainExit(f"state {m:.6g} left {_FLOW_DOMAIN} at t={times[i]:.6g}")
         ms[i], ps[i] = m, p
         if hamiltonian is not None:
             drift = max(drift, abs(hamiltonian(m, p) - h0))

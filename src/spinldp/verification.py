@@ -243,16 +243,14 @@ def criterion_10(cfg, workers=1):
     column = bd.badness_scan(
         "double_well", (1.5,), T_grid, [0.0],
         epsilon=0.1, delta=0.05,
-        opts=bd.SolverOpts(dt_target=0.02, min_steps=100, max_iter=800, gtol=1e-8),
-        master_seed=cfg["seed"], workers=workers,
+        opts=bd.SolverOpts(), master_seed=cfg["seed"], workers=workers,
     )
     flags = [c.bad for c in column.cells]
     crossings = sum(1 for a, b in zip(flags, flags[1:]) if a != b)
     column_ok = (not flags[0]) and flags[-1] and crossings == 1
     _, diag = bd.is_bad(
         double_well_rate(1.5), 0.0, 3.0, epsilon=0.1, delta=0.05,
-        opts=bd.SolverOpts(dt_target=0.02, min_steps=100, max_iter=800,
-                           gtol=1e-8, seed=child_seed(cfg["seed"], 10)),
+        opts=bd.SolverOpts(seed=child_seed(cfg["seed"], 10)),
     )
     branch_ok = diag["plus_branch"][-1] > 0 > diag["minus_branch"][-1]
 
@@ -261,7 +259,7 @@ def criterion_10(cfg, workers=1):
         np.logspace(math.log10(0.05), math.log10(5.0), cfg["c10_scan_points"]),
         np.linspace(-0.9, 0.9, cfg["c10_scan_points"]),
         epsilon=0.1, delta=0.05,
-        opts=bd.SolverOpts(dt_target=0.02, min_steps=80, max_iter=600, gtol=1e-8),
+        opts=bd.SolverOpts(min_steps=80, max_iter=600),
         master_seed=cfg["seed"], workers=workers,
     )
     errors = sum(1 for c in scan.cells if c.error)

@@ -24,7 +24,6 @@ from spinldp.trajectory import (
     minimize_action_open_start,
 )
 
-FAST = SolverOpts(dt_target=0.02, min_steps=100, max_iter=800, gtol=1e-8)
 MODEL = mag_model()
 
 
@@ -46,7 +45,7 @@ def test_rate_function_normalization_and_wells():
 def test_branch_endpoint_past_the_domain_is_a_cell_error():
     # the double well has two minimizers at mT = 0, T = 1; delta = 1.5 puts
     # the level-0 branch endpoints at +-1.5, outside [-1, 1]
-    opts = SolverOpts(dt_target=0.02, min_steps=60, max_iter=400, gtol=1e-8)
+    opts = SolverOpts(min_steps=60, max_iter=400)
     (cell,) = badness_scan("double_well", (1.5,), [1.0], [0.0], delta=1.5, opts=opts,
                            master_seed=3).cells
     assert cell.error == "PathLeavesDomain"
@@ -69,30 +68,30 @@ def test_tabulated_rate_function():
 
 
 def test_transition_cost_drift_free():
-    cost = transition_cost(MODEL, 0.5, 0.5 * math.exp(-2.0), 1.0, opts=FAST)
+    cost = transition_cost(MODEL, 0.5, 0.5 * math.exp(-2.0), 1.0)
     assert cost <= 1e-6
-    cost2 = transition_cost(MODEL, 0.5, 0.0, 1.0, opts=FAST)
+    cost2 = transition_cost(MODEL, 0.5, 0.0, 1.0)
     problem = ActionProblem(MODEL, FixedStart(0.5), 0.0, 1.0)
-    _, direct = minimize_action_fixed(problem, steps=FAST.steps_for(1.0), seed=FAST.seed)
+    _, direct = minimize_action_fixed(problem, steps=SolverOpts().steps_for(1.0), seed=0)
     assert abs(cost2 - direct) <= 1e-12
     assert cost2 >= 0.0
 
 
 def test_transition_cost_continuous_in_endpoint():
-    vals = [transition_cost(MODEL, 0.5, m, 1.0, opts=FAST) for m in (0.0, 0.02, 0.04)]
+    vals = [transition_cost(MODEL, 0.5, m, 1.0) for m in (0.0, 0.02, 0.04)]
     assert abs(vals[1] - vals[0]) <= 0.1
     assert abs(vals[2] - vals[1]) <= 0.1
 
 
 def test_optimal_initials_typical_state():
-    mins = optimal_initials(bernoulli_rate(0.5), 0.5 * math.exp(-6.0), 3.0, opts=FAST)
+    mins = optimal_initials(bernoulli_rate(0.5), 0.5 * math.exp(-6.0), 3.0)
     assert len(mins) == 1
     assert abs(mins[0].gamma0 - 0.5) <= 5e-3
     assert mins[0].value <= 1e-4
 
 
 def test_optimal_initials_double_well_pair_and_symmetry():
-    mins = optimal_initials(double_well_rate(1.5), 0.0, 3.0, opts=FAST)
+    mins = optimal_initials(double_well_rate(1.5), 0.0, 3.0)
     assert len(mins) == 2
     g = sorted(m.gamma0 for m in mins)
     assert abs(g[0] + g[1]) <= 1e-6  # set symmetry under negation
@@ -102,39 +101,36 @@ def test_optimal_initials_double_well_pair_and_symmetry():
 
 def test_optimal_initials_short_horizon_pins_start():
     mins = optimal_initials(double_well_rate(1.5), 0.0, 0.01,
-                            opts=SolverOpts(dt_target=0.001, min_steps=60,
-                                            max_iter=600, gtol=1e-8))
+                            opts=SolverOpts(dt_target=0.001, min_steps=60, max_iter=600))
     assert len(mins) == 1
     assert abs(mins[0].gamma0) <= 0.02
 
 
 def test_is_bad_double_well_long_horizon():
-    flag, diag = is_bad(double_well_rate(1.5), 0.0, 3.0, epsilon=0.1, delta=0.05, opts=FAST)
+    flag, diag = is_bad(double_well_rate(1.5), 0.0, 3.0, epsilon=0.1, delta=0.05)
     assert flag
     assert diag["plus_branch"][-1] > 0 > diag["minus_branch"][-1]
     assert diag["separation"] > 1.0
 
 
 def test_is_bad_short_horizon_false():
-    flag, diag = is_bad(double_well_rate(1.5), 0.0, 0.05, epsilon=0.1, delta=0.05, opts=FAST)
+    flag, diag = is_bad(double_well_rate(1.5), 0.0, 0.05, epsilon=0.1, delta=0.05)
     assert not flag
     assert diag["n_minimizers"] == 1
     assert diag["plus_branch"] == []  # structural short-circuit
 
 
 def test_is_bad_convex_rate_false():
-    flag, diag = is_bad(bernoulli_rate(0.5), 0.0, 1.0, epsilon=0.1, delta=0.05, opts=FAST)
+    flag, diag = is_bad(bernoulli_rate(0.5), 0.0, 1.0, epsilon=0.1, delta=0.05)
     assert not flag
 
 
 def test_nature_nurture_labels():
     label_short, recs = nature_nurture_classify(double_well_rate(1.5), 0.0, 0.02,
-                                                opts=SolverOpts(dt_target=0.001,
-                                                                min_steps=60,
-                                                                max_iter=600,
-                                                                gtol=1e-8))
+                                                opts=SolverOpts(dt_target=0.001, min_steps=60,
+                                                                max_iter=600))
     assert label_short == "nature"
-    label_long, recs = nature_nurture_classify(double_well_rate(1.5), 0.0, 3.0, opts=FAST)
+    label_long, recs = nature_nurture_classify(double_well_rate(1.5), 0.0, 3.0)
     assert label_long == "nurture"
     for g0, lab, d_nat, d_nur in recs:
         assert d_nur < d_nat
@@ -144,7 +140,7 @@ def test_nature_nurture_single_crossover_in_T():
     # label flips nature -> nurture exactly once along a refined horizon grid
     labels = []
     for T in np.logspace(math.log10(0.02), math.log10(3.0), 12):
-        opts = SolverOpts(dt_target=0.02, min_steps=80, max_iter=600, gtol=1e-8)
+        opts = SolverOpts(min_steps=80, max_iter=600)
         lab, _ = nature_nurture_classify(double_well_rate(1.5), 0.0, float(T), opts=opts)
         labels.append(lab)
     collapsed = [lab for lab in labels if lab != "mixed"]
@@ -156,7 +152,7 @@ def test_nature_nurture_single_crossover_in_T():
 def test_scan_records_and_determinism():
     T_grid = np.logspace(math.log10(0.1), math.log10(2.0), 3)
     mT_grid = [-0.3, 0.0, 0.3]
-    opts = SolverOpts(dt_target=0.02, min_steps=80, max_iter=500, gtol=1e-8)
+    opts = SolverOpts(min_steps=80, max_iter=500)
     res1 = badness_scan("bernoulli", (0.5,), T_grid, mT_grid, opts=opts, master_seed=5)
     res2 = badness_scan("bernoulli", (0.5,), T_grid, mT_grid, opts=opts, master_seed=5,
                         workers=3)
@@ -179,8 +175,7 @@ def test_scan_empty_grid():
 
 def test_scan_csv_schema(tmp_path):
     out = tmp_path / "scan.csv"
-    badness_scan("double_well", (1.5,), [3.0], [0.0],
-                 opts=FAST, master_seed=2, csv_path=out)
+    badness_scan("double_well", (1.5,), [3.0], [0.0], master_seed=2, csv_path=out)
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "T,mT,n_minimizers,gamma0_list,cost,bad,label,d_nature,d_nurture,error"
     cell = lines[1].split(",")
@@ -200,7 +195,7 @@ GOLDEN_CELL = (double_well_rate(1.5), 0.0, 1.0)
 
 
 def _golden_opts(min_steps):
-    return SolverOpts(dt_target=0.02, min_steps=min_steps, max_iter=400, gtol=1e-8, seed=3)
+    return SolverOpts(min_steps=min_steps, max_iter=400, seed=3)
 
 
 def _ends(mT, delta=0.05):
@@ -214,9 +209,9 @@ def test_is_bad_branches_equal_dense_minimization(T):
     # each selection is the global minimizer of I + K_T at its endpoint,
     # found here by a 20001-point scan polished by a bounded Brent search
     rate, mT = double_well_rate(1.5), 0.0
-    mins = optimal_initials(rate, mT, T, opts=FAST)
+    mins = optimal_initials(rate, mT, T)
     assert len(mins) == 2
-    _, diag = is_bad(rate, mT, T, opts=FAST, minimizers=mins)
+    _, diag = is_bad(rate, mT, T, minimizers=mins)
     xs = np.linspace(-1.0, 1.0, 20001)
     static = rate.evaluator(xs)
     for k, (end, key) in enumerate(_ends(mT)):

@@ -273,6 +273,17 @@ LATTICE = {"seed": 3, "dim": 1, "side": 21, "times": [0.5], "replicas": 2,
     ("scan-bad", {**SCAN, "T_grid": {"start": -1.0, "stop": 1.0, "num": 3}}, "T_grid:"),
     ("scan-bad", {**SCAN, "mT_grid": [1.5]}, "mT_grid:"),
     ("scan-bad", {**SCAN, "mT_grid": {"start": -1.2, "stop": 0.0, "num": 2}}, "mT_grid:"),
+    # a seed must be a valid SeedSequence entropy
+    ("scan-bad", {**SCAN, "seed": -1}, "seed:"),
+    ("lattice-sim", {**LATTICE, "rates": {"kind": "random", "dim": 1, "radius": 1, "seed": -1}},
+     "rates.seed:"),
+    # params must have the length the kind takes
+    ("scan-bad", {**SCAN, "rate_function": {"kind": "bernoulli", "params": []}}, "params: bernoulli"),
+    ("scan-bad", {**SCAN, "rate_function": {"kind": "double_well", "params": []}}, "params: double_well"),
+    ("scan-bad", {**SCAN, "rate_function": {"kind": "double_well", "params": [1.5, 2.0]}},
+     "params: double_well"),
+    ("scan-bad", {**SCAN, "rate_function": {"kind": "tabulated", "params": [[0.0, 1.0]]}},
+     "params: tabulated"),
 ])
 def test_invalid_config_value_exits_2(tmp_path, capsys, command, cfg, field):
     path = tmp_path / "cfg.json"
@@ -371,3 +382,24 @@ def test_integral_float_count_is_accepted(tmp_path, capsys):
     path.write_text(json.dumps({"m0": 0.5, "mT": 0.0, "T": 1.0, "steps": 200.0}))
     assert run(["mag-bvp", str(path), "--out-dir", str(tmp_path / "o")]) == 0
     assert len((tmp_path / "o" / "mag_bvp.csv").read_text().splitlines()) == 202
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("mag-rate", {**MAG_RATE, "N_list": [100]}), ("lattice-sim", LATTICE),
+    ("lattice-check", {}), ("verify", {"criteria": [2]}),
+])
+def test_negative_seed_flag_exits_2(tmp_path, capsys, command, cfg):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert run([command, str(path), "--out-dir", str(tmp_path / "o"), "--seed", "-1"]) == 2
+    assert "seed: must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("out_dir", [5, "", ["o"]])
+def test_non_string_out_dir_exits_2(tmp_path, capsys, monkeypatch, out_dir):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"b": 2.0, "d": 1.0, "t": 1.0, "a": 1.0, "N_list": [50],
+                                "out_dir": out_dir}))
+    assert run(["pw-rate", str(path)]) == 2
+    assert "out_dir:" in capsys.readouterr().err

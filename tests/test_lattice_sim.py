@@ -5,19 +5,14 @@ import numpy as np
 import pytest
 
 from spinldp.coefficients import CoefficientMap
-from spinldp.errors import EmptyCell
 from spinldp.lattice import (
-    EmpiricalStats,
     LocalRateSpec,
     SpinConfiguration,
-    bootstrap_entropy_se,
     glauber_simulate,
     glauber_trajectory,
     moment_series,
     nonlinear_generator_general,
-    relative_entropy_density_estimate,
 )
-from spinldp.rate_functions import bernoulli_rate
 
 
 def test_configuration_validation():
@@ -96,48 +91,6 @@ def test_moment_decay_and_worker_invariance():
         for oi, a_size in enumerate((1, 2)):
             expect = math.exp(-2 * a_size * t)
             assert abs(mean[ti, oi] - expect) <= 4.0 * max(se[ti, oi], 1e-6)
-
-
-def test_empirical_stats_counts_sum_to_sites():
-    cfg = SpinConfiguration.random(2, 25, seed=8)
-    st = EmpiricalStats.from_configuration(cfg, 2)
-    assert int(st.counts.sum()) == cfg.n_sites
-    assert abs(st.frequencies.sum() - 1.0) <= 1e-12
-    assert st.window_size == 4
-    # default depths: 3-windows in d=1, 2x2 blocks in d=2
-    assert EmpiricalStats.from_configuration(SpinConfiguration.random(1, 11, seed=1)).depth == 3
-    assert EmpiricalStats.from_configuration(cfg).depth == 2
-
-
-def test_entropy_estimate_matches_bernoulli_kl():
-    cfg = SpinConfiguration.random(1, 4001, seed=5, bias=0.3)
-    st1 = EmpiricalStats.from_configuration(cfg, 1)
-    x = cfg.magnetization()
-    est = relative_entropy_density_estimate(st1, 0.1)
-    assert abs(est - bernoulli_rate(0.1).evaluator(x)) <= 1e-12  # depth 1 is exact algebra
-
-
-def test_entropy_estimate_depth_stable_for_product_samples():
-    cfg = SpinConfiguration.random(1, 8001, seed=6, bias=0.2)
-    e1 = relative_entropy_density_estimate(EmpiricalStats.from_configuration(cfg, 1), 0.2)
-    e2 = relative_entropy_density_estimate(EmpiricalStats.from_configuration(cfg, 2), 0.2)
-    se = bootstrap_entropy_se(cfg, 0.2, 2, B=60, seed=7)
-    assert abs(e2 - e1) <= 3.0 * se + 1e-4
-
-
-def test_entropy_estimate_near_zero_on_own_reference():
-    cfg = SpinConfiguration.random(1, 4001, seed=9)
-    st2 = EmpiricalStats.from_configuration(cfg, 2)
-    est = relative_entropy_density_estimate(st2, 0.0)
-    se = bootstrap_entropy_se(cfg, 0.0, 2, B=80, seed=10)
-    assert est <= 3.0 * se
-
-
-def test_entropy_reference_validation():
-    cfg = SpinConfiguration.random(1, 101, seed=2)
-    st = EmpiricalStats.from_configuration(cfg, 1)
-    with pytest.raises(EmptyCell):
-        relative_entropy_density_estimate(st, 1.0)
 
 
 def test_general_functional_linear_psi_reduces_exactly():

@@ -14,8 +14,8 @@ from spinldp.poisson_walk import (
     pw_lagrangian,
     pw_rate_convergence,
     pw_simulate,
-    pw_simulate_many,
 )
+from spinldp.seeding import child_seed
 
 P21 = PoissonWalkParams(b=2.0, d=1.0, N=100)
 
@@ -110,18 +110,9 @@ def test_simulate_deterministic_given_seed():
 def test_simulate_mean_matches_drift():
     p = PoissonWalkParams(1.0, 1.0, 20)
     T, reps = 1.0, 10000
-    finals = np.array([path.final for path in pw_simulate_many(p, T, reps, master_seed=9)])
+    finals = np.array([pw_simulate(p, T, child_seed(9, r)).final for r in range(reps)])
     se = finals.std(ddof=1) / math.sqrt(reps)
     assert abs(finals.mean() - (p.b - p.d) * T) <= 3.0 * se
-
-
-def test_simulate_many_worker_invariant():
-    p = PoissonWalkParams(1.5, 0.5, 10)
-    a = pw_simulate_many(p, 0.5, 6, master_seed=4)
-    b = pw_simulate_many(p, 0.5, 6, master_seed=4, workers=3)
-    for pa, pb in zip(a, b):
-        assert np.array_equal(pa.times, pb.times)
-        assert np.array_equal(pa.values, pb.values)
 
 
 def test_path_evaluation_between_jumps():
