@@ -76,17 +76,21 @@ class SolverOpts:
 
 def rate_function_from_descriptor(kind: str, params) -> RateFunctionSpec:
     """The rate function of a (kind, params) descriptor; ValueError for an
-    unknown kind or a params list of the wrong length."""
+    unknown kind, a params list of the wrong length, or params the kind's
+    constructor rejects (non-numeric entries included)."""
     n_params = {"bernoulli": 1, "double_well": 1, "tabulated": 2}.get(kind)
     if n_params is None:
         raise ValueError(f"unknown rate function kind {kind!r}")
     if len(params) != n_params:
         raise ValueError(f"params: {kind} needs a list of {n_params}, got {len(params)}")
-    if kind == "bernoulli":
-        return bernoulli_rate(float(params[0]))
-    if kind == "double_well":
-        return double_well_rate(float(params[0]))
-    return tabulated_rate(params[0], params[1])
+    try:
+        if kind == "bernoulli":
+            return bernoulli_rate(float(params[0]))
+        if kind == "double_well":
+            return double_well_rate(float(params[0]))
+        return tabulated_rate(params[0], params[1])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"params: {kind}: {exc}") from exc
 
 
 def transition_cost(model, m_start: float, m_end: float, T: float, opts: SolverOpts = SolverOpts()) -> float:

@@ -107,9 +107,15 @@ def apply_D(f: CoefficientMap, side: int | None = None) -> CoefficientMap:
 
 
 def evaluate_translations(f: CoefficientMap, spins: np.ndarray) -> np.ndarray:
-    """Array over sites j of f(tau_j s), where (tau_j s)_i = s_{j+i}."""
+    """Array over sites j of f(tau_j s), where (tau_j s)_i = s_{j+i}.
+
+    spins has shape (*batch, *torus): its trailing f.dim axes are the torus
+    and any leading axes index configurations.  Only the torus axes are
+    rolled, and each term and offset is applied in the same order, so every
+    batch entry equals the call on that configuration alone, bit for bit.
+    """
     out = np.zeros(spins.shape, dtype=float)
-    axes = tuple(range(spins.ndim))
+    axes = tuple(range(spins.ndim - f.dim, spins.ndim))
     for key, coef in f.terms.items():
         if not key:
             out += coef

@@ -114,6 +114,9 @@ def double_well_rate(beta: float) -> RateFunctionSpec:
 def tabulated_rate(grid, values) -> RateFunctionSpec:
     grid = np.asarray(grid, float)
     values = np.asarray(values, float)
+    if grid.ndim != 1 or values.shape != grid.shape:
+        raise ValueError(f"grid and values must be 1-d lists of one length, got shapes "
+                         f"{grid.shape} and {values.shape}")
     if np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing")
     values = values - np.min(values)

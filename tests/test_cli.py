@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from spinldp.magnetization import mag_exact_log_prob
 from spinldp.verification import DEFAULTS, criterion_6
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
+SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
 
 
 def run(args):
@@ -284,6 +287,14 @@ LATTICE = {"seed": 3, "dim": 1, "side": 21, "times": [0.5], "replicas": 2,
      "params: double_well"),
     ("scan-bad", {**SCAN, "rate_function": {"kind": "tabulated", "params": [[0.0, 1.0]]}},
      "params: tabulated"),
+    # params must be numbers, and a table's grid and values of one length
+    ("scan-bad", {**SCAN, "rate_function": {"kind": "bernoulli", "params": [{}]}}, "params: bernoulli"),
+    ("scan-bad", {**SCAN, "rate_function": {"kind": "double_well", "params": [[1.5]]}},
+     "params: double_well"),
+    ("scan-bad", {**SCAN, "rate_function": {"kind": "tabulated", "params": [[{}, {}], [0.0, 1.0]]}},
+     "params: tabulated"),
+    ("scan-bad", {**SCAN, "rate_function": {"kind": "tabulated", "params": [[0.0, 1.0], [0.0]]}},
+     "params: tabulated"),
 ])
 def test_invalid_config_value_exits_2(tmp_path, capsys, command, cfg, field):
     path = tmp_path / "cfg.json"
@@ -403,3 +414,11 @@ def test_non_string_out_dir_exits_2(tmp_path, capsys, monkeypatch, out_dir):
                                 "out_dir": out_dir}))
     assert run(["pw-rate", str(path)]) == 2
     assert "out_dir:" in capsys.readouterr().err
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = subprocess.run([sys.executable, "-m", "spinldp", "--help"],
+                          env={**os.environ, "PYTHONPATH": SRC},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "scan-bad" in proc.stdout

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from spinldp.coefficients import (
     evaluate_translations,
 )
 from spinldp.errors import DependenceSetTooLarge
+from spinldp import lattice
 from spinldp.lattice import LocalRateSpec, SpinConfiguration, nonlinear_generator_exact
 from spinldp.seeding import child_seed, rng_from
 
@@ -159,3 +161,76 @@ def test_apply_d_linearity_property(a, b):
     keys = set(lhs.terms) | set(rhs.terms)
     for k in keys:
         assert abs(lhs.terms.get(k, 0.0) - rhs.terms.get(k, 0.0)) <= 1e-12
+
+
+def _flip_deltas_one_at_a_time(config, f):
+    """The reference enumeration: one evaluate_translations call per flip."""
+    spins = config.values
+    base = float(np.sum(evaluate_translations(f, spins)))
+    deltas = np.empty(config.n_sites)
+    flat = spins.ravel()
+    for k in range(config.n_sites):
+        flipped = flat.copy()
+        flipped[k] = -flipped[k]
+        deltas[k] = float(np.sum(evaluate_translations(f, flipped.reshape(spins.shape)))) - base
+    return deltas
+
+
+def _mixed_observable(dim):
+    """A constant, a set whose repeated offsets cancel to a single site, one
+    that cancels to the constant, and a spread-out product."""
+    o = lambda *x: tuple(x) + (0,) * (dim - len(x))
+    return CoefficientMap.build(dim, [
+        ((), 0.4),
+        ([o(0), o(0), o(2)], -0.3),
+        ([o(1), o(1)], 0.25),
+        ([o(-3), o(1), o(2, 1) if dim == 2 else o(2)], 0.11),
+        ([o(0), o(1)], 0.7),
+    ])
+
+
+@pytest.mark.parametrize("dim, side, blocks", [(1, 21, 1), (2, 9, 1), (1, 601, 6), (2, 27, 9)])
+def test_flip_deltas_equal_one_flip_at_a_time(dim, side, blocks):
+    cfg = SpinConfiguration.random(dim, side, seed=side)
+    f = _mixed_observable(dim)
+    assert () in f.terms and len(f.terms) == 4  # the constant absorbed the cancelled set
+    rows = lattice._FLIP_BLOCK // cfg.n_sites
+    assert -(-cfg.n_sites // rows) == blocks
+    assert np.array_equal(lattice._flip_deltas(cfg, f), _flip_deltas_one_at_a_time(cfg, f))
+
+
+@pytest.mark.parametrize("dim, side, block", [(1, 21, 100), (2, 9, 50), (2, 9, 243)])
+def test_flip_deltas_block_boundaries(monkeypatch, dim, side, block):
+    # 100 // 21 = 4 rows leave a last block of 1; 50 < 81 sites gives one
+    # row per block; 243 = 3 rows of 81 divides evenly
+    monkeypatch.setattr(lattice, "_FLIP_BLOCK", block)
+    cfg = SpinConfiguration.random(dim, side, seed=block)
+    f = _mixed_observable(dim)
+    assert np.array_equal(lattice._flip_deltas(cfg, f), _flip_deltas_one_at_a_time(cfg, f))
+
+
+@pytest.mark.parametrize("batch_shape, dim, side", [((5,), 2, 9), ((7,), 1, 21), ((2, 3), 1, 21)])
+def test_evaluate_translations_batch_equals_stacked_calls(batch_shape, dim, side):
+    rng = rng_from(31)
+    spins = np.where(rng.random(batch_shape + (side,) * dim) < 0.5, 1, -1).astype(np.int8)
+    f = _mixed_observable(dim)
+    batched = evaluate_translations(f, spins)
+    flat = spins.reshape((-1,) + (side,) * dim)
+    stacked = np.stack([evaluate_translations(f, s) for s in flat]).reshape(batched.shape)
+    assert np.array_equal(batched, stacked)
+
+
+def test_flip_deltas_memory_is_bounded_by_the_block():
+    side = 2001
+    cfg = SpinConfiguration.random(1, side, seed=4)
+    f = _mixed_observable(1)
+    tracemalloc.start()
+    try:
+        lattice._flip_deltas(cfg, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one unchunked float block of all n flipped copies alone is 8 n^2 bytes
+    # (32 MB); a capped block costs a few arrays of 8 * _FLIP_BLOCK bytes
+    assert peak <= 8 * 8 * lattice._FLIP_BLOCK
+    assert peak <= 8 * side * side / 8

@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from spinldp.rate_functions import bernoulli_rate, double_well_rate
+from spinldp.rate_functions import bernoulli_rate, double_well_rate, tabulated_rate
 
 SPECS = {"bernoulli": bernoulli_rate(0.5), "double_well": double_well_rate(1.5)}
 
@@ -76,3 +76,10 @@ def test_bernoulli_bits_unchanged_off_nan():
     assert _sha(spec.evaluator(xs)) == want
     assert _sha([spec.evaluator(float(x)) for x in xs]) == want
     assert _sha([float(spec.evaluator(np.asarray(x))) for x in xs]) == want
+
+
+@pytest.mark.parametrize("grid, values", [([0.0, 1.0], [0.0]), ([0.0, 1.0], [[0.0, 1.0]]),
+                                          ([[0.0, 1.0]], [[0.0, 1.0]])])
+def test_tabulated_grid_and_values_must_be_one_length(grid, values):
+    with pytest.raises(ValueError, match="one length"):
+        tabulated_rate(grid, values)
