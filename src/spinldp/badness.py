@@ -7,10 +7,11 @@ An endpoint is bad when M* has at least two elements and tiny endpoint
 perturbations mT +- delta 2^-n select single minimizers converging to two
 distinct elements of M*: the scalar transcription of approximating-sequence
 badness detection, with the start magnetization playing the conditioned
-observable.  M* comes from open-start CG solves of the discretized action;
-the branch selections read K_T's closed form (mag_endpoint_rate) on a grid
-of starts, so bad endpoints are read off the value function rather than
-re-solved.
+observable.  M* comes from one open-start CG solve of the discretized
+action (optimal_initials); is_bad and nature_nurture_classify take it from
+their caller and never solve again.  The branch selections read K_T's
+closed form (mag_endpoint_rate) on a grid of starts, so bad endpoints are
+read off the value function rather than re-solved.
 
 Nature/nurture: a minimizer is "nature" when its start is closer to the
 zero-cost preimage of the endpoint (pay the static cost, ride the drift)
@@ -89,7 +90,7 @@ def rate_function_from_descriptor(kind: str, params) -> RateFunctionSpec:
         if kind == "double_well":
             return double_well_rate(float(params[0]))
         return tabulated_rate(params[0], params[1])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"params: {kind}: {exc}") from exc
 
 
@@ -130,33 +131,24 @@ def _branch_start(total: np.ndarray) -> float:
     return float(_M_GRID[i])
 
 
-def is_bad(
-    I: RateFunctionSpec,
-    mT: float,
-    T: float,
-    epsilon: float = 0.1,
-    delta: float = 0.05,
-    opts: SolverOpts = SolverOpts(),
-    minimizers=None,
-):
+def is_bad(I: RateFunctionSpec, mT: float, T: float, minimizers, epsilon: float, delta: float):
     """Two-sided branch-selection detector.
 
-    At the perturbed endpoints e = mT + delta 2^-n and mT - delta 2^-n,
-    n = 0.._N_LEVELS-1, the selected start is the global minimizer of
-    m' -> I(m') + K_T(m', e), with K_T the closed-form continuum endpoint
-    rate mag_endpoint_rate: the argmin over the fixed grid _M_GRID, refined
-    by a three-point parabola.  I is evaluated once, on that grid.  The
-    selections are recorded in diagnostics["plus_branch"] and
-    ["minus_branch"]; they differ from an open-start CG solve at e by the
-    discretization error of its action, O(dt).  Only the last level enters
-    the verdict: True iff M*(mT) (from optimal_initials, CG) has >= 2
+    minimizers is M*(mT), the caller's optimal_initials(I, mT, T) (CG); it
+    is read, never re-solved.  At the perturbed endpoints
+    e = mT + delta 2^-n and mT - delta 2^-n, n = 0.._N_LEVELS-1, the
+    selected start is the global minimizer of m' -> I(m') + K_T(m', e),
+    with K_T the closed-form continuum endpoint rate mag_endpoint_rate: the
+    argmin over the fixed grid _M_GRID, refined by a three-point parabola.
+    I is evaluated once, on that grid.  The selections are recorded in
+    diagnostics["plus_branch"] and ["minus_branch"]; they differ from an
+    open-start CG solve at e by the discretization error of its action,
+    O(dt).  Only the last level enters the verdict: True iff M* has >= 2
     elements, the two last-level selections are nearest to two distinct
     elements of M*, and they are more than epsilon apart.  The earlier
     levels are not checked for convergence.  An endpoint outside [-1, 1]
     raises PathLeavesDomain.  Always returns (flag, diagnostics).
     """
-    if minimizers is None:
-        minimizers = optimal_initials(I, mT, T, opts=opts)
     diag = {
         "n_minimizers": len(minimizers),
         "gamma0": [m.gamma0 for m in minimizers],
@@ -185,14 +177,9 @@ def is_bad(
     return flag, diag
 
 
-def nature_nurture_classify(
-    I: RateFunctionSpec,
-    mT: float,
-    T: float,
-    opts: SolverOpts = SolverOpts(),
-    minimizers=None,
-):
-    """Per-minimizer nature/nurture labels plus an aggregate.
+def nature_nurture_classify(I: RateFunctionSpec, mT: float, T: float, minimizers):
+    """Per-minimizer nature/nurture labels plus an aggregate, for the
+    caller's M*(mT) (optimal_initials' cluster set).
 
     nature: the start serves the conditioning (close to the zero-cost
     preimage flow(mT, -T)); nurture: the start is typical for I (close to
@@ -200,8 +187,6 @@ def nature_nurture_classify(
     Returns (label, records) with records of
     (gamma0, label, d_nature, d_nurture).
     """
-    if minimizers is None:
-        minimizers = optimal_initials(I, mT, T, opts=opts)
     anchor = float(mag_model().flow(mT, -T))
     wells = I.minimizers
     records = []
@@ -264,8 +249,8 @@ def _scan_cell(args):
     opts = replace(opts, seed=child_seed(master_seed, index))
     try:
         mins = optimal_initials(I, mT, T, opts=opts)
-        bad, diag = is_bad(I, mT, T, epsilon, delta, opts=opts, minimizers=mins)
-        label, records = nature_nurture_classify(I, mT, T, opts=opts, minimizers=mins)
+        bad, diag = is_bad(I, mT, T, mins, epsilon, delta)
+        label, records = nature_nurture_classify(I, mT, T, mins)
         best = records[0]
         branches = ()
         if diag["plus_branch"]:
@@ -291,8 +276,8 @@ def badness_scan(
     I_params,
     T_grid: Sequence[float],
     mT_grid: Sequence[float],
-    epsilon: float = 0.1,
-    delta: float = 0.05,
+    epsilon: float,
+    delta: float,
     opts: SolverOpts = SolverOpts(),
     master_seed: int = 0,
     workers: int = 1,
@@ -302,7 +287,8 @@ def badness_scan(
 
     Cells are seeded by (master_seed, cell index) and assembled in index
     order, so the result is identical for any worker count.  Per-cell
-    errors are recorded in the cell, never aborting the scan.
+    errors are recorded in the cell, never aborting the scan.  epsilon and
+    delta go to is_bad; scan-bad's config supplies their defaults.
     """
     jobs = []
     idx = 0

@@ -52,8 +52,18 @@ def _need(cfg, field, types, where=""):
     return v
 
 
+def _finite(x) -> bool:
+    """False for JSON's NaN, Infinity and 1e400, and for ints past float range."""
+    try:
+        return math.isfinite(x)
+    except OverflowError:
+        return False
+
+
 def _need_number(cfg, field, lo=None, hi=None, where=""):
     v = _need(cfg, field, (int, float), where)
+    if not _finite(v):
+        raise ConfigError(f"{where}{field}: must be a finite number, got {v!r}")
     if lo is not None and v < lo:
         raise ConfigError(f"{where}{field}: must be >= {lo}, got {v}")
     if hi is not None and v > hi:
@@ -102,9 +112,10 @@ def _odd_side(v, where):
 def _grid(spec, where):
     """Either an explicit list or {start, stop, num[, log]}"""
     if isinstance(spec, list):
-        bad = [x for x in spec if isinstance(x, bool) or not isinstance(x, (int, float))]
+        bad = [x for x in spec
+               if isinstance(x, bool) or not isinstance(x, (int, float)) or not _finite(x)]
         if bad:
-            raise ConfigError(f"{where}: expected numbers, got {bad[0]!r}")
+            raise ConfigError(f"{where}: expected finite numbers, got {bad[0]!r}")
         return [float(x) for x in spec]
     if isinstance(spec, dict):
         start = _need_number(spec, "start", where=where + ".")
@@ -233,9 +244,12 @@ def cmd_mag_bvp(cfg, out_dir, workers):
 
 def _float_array(cfg, field):
     try:
-        return np.array(_need(cfg, field, list), dtype=float)
-    except (TypeError, ValueError) as exc:
+        arr = np.array(_need(cfg, field, list), dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{field}: expected a numeric array ({exc})") from exc
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError(f"{field}: every entry must be finite")
+    return arr
 
 
 @command("fd-lagrangian")
@@ -312,7 +326,7 @@ def cmd_lattice_sim(cfg, out_dir, workers):
     obs = _need(cfg, "observables", list)
     try:
         obs_offsets = [[tuple(int(x) for x in o) for o in A] for A in obs]
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"observables: expected lists of integer offsets ({exc})") from exc
     arr = lat.moment_series(dim, side, rates, times, obs_offsets,
                             replicas=replicas, master_seed=seed, workers=workers)

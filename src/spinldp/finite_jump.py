@@ -34,8 +34,12 @@ __all__ = [
     "fj_paper_closed_form",
 ]
 
-# Newton iteration budget of fj_lagrangian_variational and fj_lagrangian_dual.
+# Newton iteration budget and relative gradient tolerance of
+# fj_lagrangian_variational and fj_lagrangian_dual.
 _MAX_NEWTON_ITER = 200
+_NEWTON_TOL = 1e-12
+# _range_basis keeps the singular values above _RANK_TOL * max(1, s_max).
+_RANK_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -76,22 +80,22 @@ class JumpModel:
         return float(self.weights.sum())
 
 
-def _range_basis(D: np.ndarray, tol: float = 1e-11):
+def _range_basis(D: np.ndarray):
     """Orthonormal bases: columns spanning range(D^T) and ker(D^T)."""
     u, s, vt = np.linalg.svd(D)
-    rank = int(np.sum(s > tol * max(1.0, s[0] if len(s) else 1.0)))
+    rank = int(np.sum(s > _RANK_TOL * max(1.0, s[0] if len(s) else 1.0)))
     range_dt = vt[:rank].T          # row space of D
     ker_dt = u[:, rank:]            # left null space: D^T u = 0 columns
     return range_dt, ker_dt
 
 
-def fj_lagrangian_variational(model: JumpModel, alpha, tol: float = 1e-12) -> float:
+def fj_lagrangian_variational(model: JumpModel, alpha) -> float:
     """Defining supremum over f, maximized by damped Newton ascent with
     backtracking on the quotient by ker(D) (adding constants to f changes
     nothing).  Raises NotInRange when alpha is not in range(D^T), where the
     supremum is +inf.
 
-    Newton stops when the reduced gradient norm is at most tol times
+    Newton stops when the reduced gradient norm is at most _NEWTON_TOL times
     (1 + |alpha reduced|), or when a step leaves the iterate exactly
     unchanged (round-off: every later iteration would repeat it).  After
     _MAX_NEWTON_ITER iterations still moving it raises SolverNotConverged.
@@ -114,7 +118,7 @@ def fj_lagrangian_variational(model: JumpModel, alpha, tol: float = 1e-12) -> fl
     for _ in range(_MAX_NEWTON_ITER):
         e = w * np.exp(DV @ z)
         grad = a_red - DV.T @ e
-        if np.linalg.norm(grad) <= tol * (1.0 + np.linalg.norm(a_red)):
+        if np.linalg.norm(grad) <= _NEWTON_TOL * (1.0 + np.linalg.norm(a_red)):
             break
         H = DV.T @ (e[:, None] * DV)
         try:
@@ -140,7 +144,7 @@ def fj_lagrangian_variational(model: JumpModel, alpha, tol: float = 1e-12) -> fl
     return float(a_red @ z - np.sum(w * np.exp(DV @ z) - w))
 
 
-def fj_lagrangian_dual(model: JumpModel, alpha, tol: float = 1e-12):
+def fj_lagrangian_dual(model: JumpModel, alpha):
     """Fenchel dual: entropic minimization over the flux decomposition.
 
     Solved independently of the variational route: a strictly feasible
@@ -148,7 +152,7 @@ def fj_lagrangian_dual(model: JumpModel, alpha, tol: float = 1e-12):
     kernel coordinates of D^T with positivity enforced by line search.
     Returns (value, nu).
 
-    Newton stops when the kernel gradient norm is at most tol times
+    Newton stops when the kernel gradient norm is at most _NEWTON_TOL times
     (1 + C_mu), or when a step, after the positivity clamp, leaves nu
     exactly unchanged (round-off: every later iteration would repeat it).
     After _MAX_NEWTON_ITER iterations still moving it raises
@@ -189,7 +193,7 @@ def fj_lagrangian_dual(model: JumpModel, alpha, tol: float = 1e-12):
 
     for _ in range(_MAX_NEWTON_ITER):
         grad = K.T @ np.log(nu / w)
-        if np.linalg.norm(grad) <= tol * (1.0 + model.C_mu):
+        if np.linalg.norm(grad) <= _NEWTON_TOL * (1.0 + model.C_mu):
             break
         H = K.T @ (K / nu[:, None])
         try:

@@ -73,10 +73,9 @@ class SpinConfiguration:
         return SpinConfiguration(dim, side, np.ones((side,) * dim, dtype=np.int8))
 
     @staticmethod
-    def random(dim: int, side: int, seed, bias: float = 0.0) -> "SpinConfiguration":
+    def random(dim: int, side: int, seed) -> "SpinConfiguration":
         rng = rng_from(seed)
-        p_up = 0.5 * (1.0 + bias)
-        vals = np.where(rng.random((side,) * dim) < p_up, 1, -1).astype(np.int8)
+        vals = np.where(rng.random((side,) * dim) < 0.5, 1, -1).astype(np.int8)
         return SpinConfiguration(dim, side, vals)
 
     def to_text(self) -> str:
@@ -214,14 +213,15 @@ def _site_index_arrays(config: SpinConfiguration, rates: LocalRateSpec):
     return np.ascontiguousarray(np.stack(cols, axis=1).astype(np.int32))
 
 
-def glauber_simulate(
-    config: SpinConfiguration,
-    rates: LocalRateSpec,
-    T: float,
-    seed,
-    record: bool = True,
-    _rng=None,
-):
+def _from_codes(config: SpinConfiguration, rates: LocalRateSpec, codes) -> SpinConfiguration:
+    """The configuration on config's torus whose window codes are codes: a
+    site's spin is the centre bit of its own window code."""
+    centre = rates.offsets.index((0,) * config.dim)
+    up = ((codes >> centre) & 1).reshape(config.values.shape)
+    return SpinConfiguration(config.dim, config.side, np.where(up == 1, 1, -1))
+
+
+def glauber_simulate(config: SpinConfiguration, rates: LocalRateSpec, T: float, seed):
     """Exact event-driven run over [0, T]; returns (final config, EventLog)."""
     if rates.dim != config.dim:
         raise ValueError("rate spec dimension mismatch")
@@ -231,38 +231,33 @@ def glauber_simulate(
     times = np.empty(0)
     sites = np.empty(0, dtype=np.int64)
     if T > 0:
-        rng = _rng if _rng is not None else rng_from(seed)
         codes, times, sites = kernels.run(
-            codes, _site_index_arrays(config, rates), rates.table, T, rng, record)
-    # a site's spin is the centre bit of its own window code
-    centre = rates.offsets.index((0,) * config.dim)
-    up = ((codes >> centre) & 1).reshape(config.values.shape)
-    final = SpinConfiguration(config.dim, config.side, np.where(up == 1, 1, -1))
-    return final, EventLog(times=times, sites=sites)
+            codes, _site_index_arrays(config, rates), rates.table, T, rng_from(seed))
+    return _from_codes(config, rates, codes), EventLog(times=times, sites=sites)
 
 
-def glauber_trajectory(
-    config: SpinConfiguration,
-    rates: LocalRateSpec,
-    times: Sequence[float],
-    seed,
-):
-    """Configurations at the given increasing checkpoint times (one stream).
+def glauber_trajectory(config: SpinConfiguration, rates: LocalRateSpec, times: Sequence[float], seed):
+    """Configurations at the given nondecreasing checkpoint times (one stream).
 
-    Restarting the exponential clock at each checkpoint is statistically
-    exact by memorylessness.
+    The window codes and the neighbour table are built once; kernels.run
+    steps the codes from one checkpoint to the next, and a configuration is
+    made only for each returned snapshot.  A zero-length interval draws
+    nothing from the stream.  Restarting the exponential clock at each
+    checkpoint is statistically exact by memorylessness.
     """
+    if rates.dim != config.dim:
+        raise ValueError("rate spec dimension mismatch")
     rng = rng_from(seed)
+    codes = rates._codes(config)
+    neighbours = _site_index_arrays(config, rates)
     out = []
-    current = config
     t_prev = 0.0
     for t in times:
         if t < t_prev:
             raise ValueError("times must be nondecreasing")
-        current, _ = glauber_simulate(
-            current, rates, t - t_prev, seed=None, record=False, _rng=rng,
-        )
-        out.append(current)
+        if t > t_prev:
+            codes, _, _ = kernels.run(codes, neighbours, rates.table, t - t_prev, rng, record=False)
+        out.append(_from_codes(config, rates, codes))
         t_prev = t
     return out
 

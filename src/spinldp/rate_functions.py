@@ -117,6 +117,8 @@ def tabulated_rate(grid, values) -> RateFunctionSpec:
     if grid.ndim != 1 or values.shape != grid.shape:
         raise ValueError(f"grid and values must be 1-d lists of one length, got shapes "
                          f"{grid.shape} and {values.shape}")
+    if not (np.all(np.isfinite(grid)) and np.all(np.isfinite(values))):
+        raise ValueError("grid and values must be finite")
     if np.any(np.diff(grid) <= 0):
         raise ValueError("grid must be strictly increasing")
     values = values - np.min(values)

@@ -480,13 +480,7 @@ def _initial_momentum(model, traj):
     return float(model.value_and_partials(g[0], (g[1] - g[0]) / traj.dt)[2])
 
 
-def minimize_action_open_start(
-    problem: ActionProblem,
-    steps: int,
-    seed: int = 0,
-    max_iter: int = 2000,
-    gtol: float = 1e-9,
-):
+def minimize_action_open_start(problem: ActionProblem, steps: int, seed, max_iter: int, gtol: float):
     """Minimize I(gamma_0) + action over the start point and interior values.
 
     Returns (best trajectory, best value, minimizers) where minimizers is
@@ -494,7 +488,8 @@ def minimize_action_open_start(
     global minimum, with starts more than _CLUSTER_GAMMA0 apart.  Each
     reported minimizer carries its extrapolated initial momentum and the
     transversality residual |p(0) - I'(gamma_0)|, the stationarity
-    condition of the free-start variation.
+    condition of the free-start variation.  The seed and the CG budget
+    (max_iter, gtol) are the caller's: optimal_initials passes SolverOpts'.
     """
     if not isinstance(problem.start, OpenStart):
         raise ValueError("minimize_action_open_start needs an OpenStart problem")
@@ -557,12 +552,13 @@ def hamilton_flow_integrate(
     p0: float,
     T: float,
     dt: float,
-    hamiltonian: Optional[Callable] = None,
+    hamiltonian: Callable,
 ) -> FlowResult:
     """Classic fourth-order explicit integration of the Hamilton equations.
 
-    Raises DomainExit when the state leaves _FLOW_DOMAIN.  When a
-    hamiltonian is supplied the result carries the max |H(t) - H(0)| drift.
+    Raises DomainExit when the state leaves _FLOW_DOMAIN.  The result
+    carries the max |H(t) - H(0)| drift of hamiltonian along the computed
+    states.
     """
     if dt > T / 100.0:
         raise ValueError("dt must be <= T/100")
@@ -572,7 +568,7 @@ def hamilton_flow_integrate(
     ps = np.empty(n + 1)
     ms[0], ps[0] = m0, p0
     m, p = float(m0), float(p0)
-    h0 = hamiltonian(m, p) if hamiltonian is not None else 0.0
+    h0 = hamiltonian(m, p)
     drift = 0.0
     for i in range(1, n + 1):
         k1m, k1p = hamilton_rhs(m, p)
@@ -584,6 +580,5 @@ def hamilton_flow_integrate(
         if not (_FLOW_DOMAIN[0] - 1e-12 <= m <= _FLOW_DOMAIN[1] + 1e-12):
             raise DomainExit(f"state {m:.6g} left {_FLOW_DOMAIN} at t={times[i]:.6g}")
         ms[i], ps[i] = m, p
-        if hamiltonian is not None:
-            drift = max(drift, abs(hamiltonian(m, p) - h0))
+        drift = max(drift, abs(hamiltonian(m, p) - h0))
     return FlowResult(times=times, m=ms, p=ps, energy_drift=drift)

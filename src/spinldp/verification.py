@@ -22,7 +22,6 @@ from . import poisson_walk as pw
 from . import trajectory as tr
 from .coefficients import CoefficientMap
 from .errors import ConfigError
-from .rate_functions import double_well_rate
 from .seeding import child_seed, derived_int, rng_from
 
 DEFAULTS = {
@@ -248,11 +247,9 @@ def criterion_10(cfg, workers=1):
     flags = [c.bad for c in column.cells]
     crossings = sum(1 for a, b in zip(flags, flags[1:]) if a != b)
     column_ok = (not flags[0]) and flags[-1] and crossings == 1
-    _, diag = bd.is_bad(
-        double_well_rate(1.5), 0.0, 3.0, epsilon=0.1, delta=0.05,
-        opts=bd.SolverOpts(seed=child_seed(cfg["seed"], 10)),
-    )
-    branch_ok = diag["plus_branch"][-1] > 0 > diag["minus_branch"][-1]
+    # (plus, minus) last-level selections at T = 3; () for |M*| < 2 or an error
+    branches = column.cells[-1].branch_selection
+    branch_ok = len(branches) == 2 and branches[0] > 0 > branches[1]
 
     scan = bd.badness_scan(
         "bernoulli", (0.5,),

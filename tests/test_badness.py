@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
 
+from spinldp import verification as vf
 from spinldp.badness import (
+    BadnessScanResult,
+    ScanCell,
     SolverOpts,
     badness_scan,
     is_bad,
@@ -46,8 +49,8 @@ def test_branch_endpoint_past_the_domain_is_a_cell_error():
     # the double well has two minimizers at mT = 0, T = 1; delta = 1.5 puts
     # the level-0 branch endpoints at +-1.5, outside [-1, 1]
     opts = SolverOpts(min_steps=60, max_iter=400)
-    (cell,) = badness_scan("double_well", (1.5,), [1.0], [0.0], delta=1.5, opts=opts,
-                           master_seed=3).cells
+    (cell,) = badness_scan("double_well", (1.5,), [1.0], [0.0], epsilon=0.1, delta=1.5,
+                           opts=opts, master_seed=3).cells
     assert cell.error == "PathLeavesDomain"
     assert math.isnan(cell.cost) and not cell.bad
 
@@ -107,30 +110,34 @@ def test_optimal_initials_short_horizon_pins_start():
 
 
 def test_is_bad_double_well_long_horizon():
-    flag, diag = is_bad(double_well_rate(1.5), 0.0, 3.0, epsilon=0.1, delta=0.05)
+    rate = double_well_rate(1.5)
+    flag, diag = is_bad(rate, 0.0, 3.0, optimal_initials(rate, 0.0, 3.0), epsilon=0.1, delta=0.05)
     assert flag
     assert diag["plus_branch"][-1] > 0 > diag["minus_branch"][-1]
     assert diag["separation"] > 1.0
 
 
 def test_is_bad_short_horizon_false():
-    flag, diag = is_bad(double_well_rate(1.5), 0.0, 0.05, epsilon=0.1, delta=0.05)
+    rate = double_well_rate(1.5)
+    flag, diag = is_bad(rate, 0.0, 0.05, optimal_initials(rate, 0.0, 0.05), epsilon=0.1, delta=0.05)
     assert not flag
     assert diag["n_minimizers"] == 1
     assert diag["plus_branch"] == []  # structural short-circuit
 
 
 def test_is_bad_convex_rate_false():
-    flag, diag = is_bad(bernoulli_rate(0.5), 0.0, 1.0, epsilon=0.1, delta=0.05)
+    rate = bernoulli_rate(0.5)
+    flag, diag = is_bad(rate, 0.0, 1.0, optimal_initials(rate, 0.0, 1.0), epsilon=0.1, delta=0.05)
     assert not flag
 
 
 def test_nature_nurture_labels():
-    label_short, recs = nature_nurture_classify(double_well_rate(1.5), 0.0, 0.02,
-                                                opts=SolverOpts(dt_target=0.001, min_steps=60,
-                                                                max_iter=600))
+    rate = double_well_rate(1.5)
+    short = optimal_initials(rate, 0.0, 0.02,
+                             opts=SolverOpts(dt_target=0.001, min_steps=60, max_iter=600))
+    label_short, recs = nature_nurture_classify(rate, 0.0, 0.02, short)
     assert label_short == "nature"
-    label_long, recs = nature_nurture_classify(double_well_rate(1.5), 0.0, 3.0)
+    label_long, recs = nature_nurture_classify(rate, 0.0, 3.0, optimal_initials(rate, 0.0, 3.0))
     assert label_long == "nurture"
     for g0, lab, d_nat, d_nur in recs:
         assert d_nur < d_nat
@@ -141,7 +148,9 @@ def test_nature_nurture_single_crossover_in_T():
     labels = []
     for T in np.logspace(math.log10(0.02), math.log10(3.0), 12):
         opts = SolverOpts(min_steps=80, max_iter=600)
-        lab, _ = nature_nurture_classify(double_well_rate(1.5), 0.0, float(T), opts=opts)
+        rate = double_well_rate(1.5)
+        mins = optimal_initials(rate, 0.0, float(T), opts=opts)
+        lab, _ = nature_nurture_classify(rate, 0.0, float(T), mins)
         labels.append(lab)
     collapsed = [lab for lab in labels if lab != "mixed"]
     changes = sum(1 for a, b in zip(collapsed, collapsed[1:]) if a != b)
@@ -153,9 +162,10 @@ def test_scan_records_and_determinism():
     T_grid = np.logspace(math.log10(0.1), math.log10(2.0), 3)
     mT_grid = [-0.3, 0.0, 0.3]
     opts = SolverOpts(min_steps=80, max_iter=500)
-    res1 = badness_scan("bernoulli", (0.5,), T_grid, mT_grid, opts=opts, master_seed=5)
-    res2 = badness_scan("bernoulli", (0.5,), T_grid, mT_grid, opts=opts, master_seed=5,
-                        workers=3)
+    res1 = badness_scan("bernoulli", (0.5,), T_grid, mT_grid, epsilon=0.1, delta=0.05,
+                        opts=opts, master_seed=5)
+    res2 = badness_scan("bernoulli", (0.5,), T_grid, mT_grid, epsilon=0.1, delta=0.05,
+                        opts=opts, master_seed=5, workers=3)
     assert res1 == res2
     assert len(res1.cells) == 9
     assert res1.bad_count() == 0
@@ -168,14 +178,15 @@ def test_scan_records_and_determinism():
 
 
 def test_scan_empty_grid():
-    res = badness_scan("bernoulli", (0.5,), [], [], master_seed=1)
+    res = badness_scan("bernoulli", (0.5,), [], [], epsilon=0.1, delta=0.05, master_seed=1)
     assert res.cells == ()
     assert res.bad_count() == 0
 
 
 def test_scan_csv_schema(tmp_path):
     out = tmp_path / "scan.csv"
-    badness_scan("double_well", (1.5,), [3.0], [0.0], master_seed=2, csv_path=out)
+    badness_scan("double_well", (1.5,), [3.0], [0.0], epsilon=0.1, delta=0.05, master_seed=2,
+                 csv_path=out)
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "T,mT,n_minimizers,gamma0_list,cost,bad,label,d_nature,d_nurture,error"
     cell = lines[1].split(",")
@@ -211,7 +222,7 @@ def test_is_bad_branches_equal_dense_minimization(T):
     rate, mT = double_well_rate(1.5), 0.0
     mins = optimal_initials(rate, mT, T)
     assert len(mins) == 2
-    _, diag = is_bad(rate, mT, T, minimizers=mins)
+    _, diag = is_bad(rate, mT, T, mins, epsilon=0.1, delta=0.05)
     xs = np.linspace(-1.0, 1.0, 20001)
     static = rate.evaluator(xs)
     for k, (end, key) in enumerate(_ends(mT)):
@@ -230,7 +241,8 @@ def test_is_bad_branches_converge_to_cg_at_first_order_in_dt():
     gaps = []
     for steps in (60, 120):
         opts = _golden_opts(steps)
-        _, diag = is_bad(rate, mT, T, opts=opts)
+        mins = optimal_initials(rate, mT, T, opts=opts)
+        _, diag = is_bad(rate, mT, T, mins, epsilon=0.1, delta=0.05)
         gaps.append([])
         for k, (end, key) in enumerate(_ends(mT)):
             _, _, sel = minimize_action_open_start(
@@ -247,8 +259,24 @@ def test_is_bad_branch_endpoint_on_the_domain_edge_is_finite():
     rate, mT, T = GOLDEN_CELL
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        flag, diag = is_bad(rate, mT, T, delta=1.0, opts=_golden_opts(60))
+        mins = optimal_initials(rate, mT, T, opts=_golden_opts(60))
+        flag, diag = is_bad(rate, mT, T, mins, epsilon=0.1, delta=1.0)
     assert flag
     for key in ("plus_branch", "minus_branch"):
         assert all(math.isfinite(x) and -1.0 <= x <= 1.0 for x in diag[key])
     assert diag["plus_branch"][0] > 0 > diag["minus_branch"][0]
+
+
+def test_criterion_10_without_branch_selections_fails_its_branch_check(monkeypatch):
+    # a last column cell with fewer than two minimizers, or an error, carries
+    # no branch selection: the check reads False instead of raising
+    def scan(kind, params, T_grid, mT_grid, **kwargs):
+        cells = tuple(ScanCell(T=float(T), mT=float(m), n_minimizers=1, gamma0_list=(0.0,),
+                               cost=0.0, bad=False, label="nurture", d_nature=1.0, d_nurture=0.0)
+                      for T in T_grid for m in mT_grid)
+        return BadnessScanResult(kind, tuple(params), cells)
+
+    monkeypatch.setattr(vf.bd, "badness_scan", scan)
+    res = vf.criterion_10({**vf.DEFAULTS, "c10_T_points": 2, "c10_scan_points": 2})
+    assert not res.passed
+    assert "branch signs opposite: False" in res.detail

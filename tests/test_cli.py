@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -294,6 +295,17 @@ LATTICE = {"seed": 3, "dim": 1, "side": 21, "times": [0.5], "replicas": 2,
     ("scan-bad", {**SCAN, "rate_function": {"kind": "tabulated", "params": [[{}, {}], [0.0, 1.0]]}},
      "params: tabulated"),
     ("scan-bad", {**SCAN, "rate_function": {"kind": "tabulated", "params": [[0.0, 1.0], [0.0]]}},
+     "params: tabulated"),
+    # JSON loads NaN, Infinity and 1e400 as floats, and NaN passes every lo/hi check
+    ("scan-bad", {**SCAN, "solver": {"dt_target": math.nan}}, "solver.dt_target:"),
+    ("scan-bad", {**SCAN, "epsilon": math.nan}, "epsilon:"),
+    ("pw-rate", {"b": 2.0, "d": 1.0, "t": 1.0, "a": math.inf, "N_list": [50]}, "a:"),
+    ("lattice-sim", {**LATTICE, "times": [0.5, math.nan]}, "times:"),
+    ("fd-lagrangian", {"D": [[-2.0, 2.0], [2.0, -2.0]], "c": [1.0, 1.0], "mu": [0.75, 0.25],
+                       "alpha": [math.nan, 0.0]}, "alpha:"),
+    ("lattice-sim", {**LATTICE, "observables": [[[math.inf]]]}, "observables:"),
+    ("scan-bad", {**SCAN, "rate_function": {"kind": "tabulated",
+                                            "params": [[-1.0, 0.0, 1.0], [1.0, math.nan, 1.0]]}},
      "params: tabulated"),
 ])
 def test_invalid_config_value_exits_2(tmp_path, capsys, command, cfg, field):

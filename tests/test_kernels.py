@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from spinldp.lattice import LocalRateSpec, SpinConfiguration, glauber_simulate
+from spinldp import kernels
+from spinldp.lattice import LocalRateSpec, SpinConfiguration, _site_index_arrays, glauber_simulate
 
 ALPHA = 1e-3
 RUNS = 2000
@@ -101,8 +102,10 @@ class _FirstUniformZero:
 def test_zero_uniform_gives_zero_wait_not_an_early_stop():
     cfg = SpinConfiguration.all_plus(1, 31)
     rates = LocalRateSpec.constant(1.0, 1)
-    final, log = glauber_simulate(cfg, rates, 0.5, seed=None, _rng=_FirstUniformZero(41))
-    assert log.times[0] == 0.0
-    assert len(log.times) > 1 and log.times[-1] <= 0.5
-    flips = np.bincount(log.sites, minlength=31)
-    assert np.array_equal(final.values, np.where(flips % 2 == 0, 1, -1))
+    codes, times, sites = kernels.run(rates._codes(cfg), _site_index_arrays(cfg, rates),
+                                      rates.table, 0.5, _FirstUniformZero(41))
+    assert times[0] == 0.0
+    assert len(times) > 1 and times[-1] <= 0.5
+    flips = np.bincount(sites, minlength=31)
+    # radius 0: a site's window code is its own spin bit
+    assert np.array_equal(np.where(codes == 1, 1, -1), np.where(flips % 2 == 0, 1, -1))

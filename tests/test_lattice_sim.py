@@ -119,7 +119,9 @@ def test_general_functional_quadratic_scaling():
 
 
 def test_general_functional_product_rule():
-    cfg = SpinConfiguration.random(1, 21, seed=14, bias=0.3)
+    # independent spins, each up with probability 0.65
+    up = np.random.default_rng(14).random(21) < 0.5 * (1.0 + 0.3)
+    cfg = SpinConfiguration(1, 21, np.where(up, 1, -1))
     rates = LocalRateSpec.constant(1.0, 1)
     f1 = CoefficientMap.basis(1, [(0,)])
     f2 = CoefficientMap.basis(1, [(0,), (1,)])

@@ -83,3 +83,14 @@ def test_bernoulli_bits_unchanged_off_nan():
 def test_tabulated_grid_and_values_must_be_one_length(grid, values):
     with pytest.raises(ValueError, match="one length"):
         tabulated_rate(grid, values)
+
+
+@pytest.mark.parametrize("grid, values", [
+    ([-1.0, 0.0, 1.0], [1.0, math.nan, 1.0]),
+    ([-1.0, 0.0, 1.0], [1.0, 0.0, math.inf]),
+    ([-1.0, math.nan, 1.0], [1.0, 0.0, 1.0]),
+    ([-1.0, 0.0, math.inf], [1.0, 0.0, 1.0]),
+])
+def test_tabulated_grid_and_values_must_be_finite(grid, values):
+    with pytest.raises(ValueError, match="finite"):
+        tabulated_rate(grid, values)

@@ -183,7 +183,8 @@ def test_open_start_quadratic_oracle():
     Iq = RateFunctionSpec("quad", lambda m: np.asarray(m, float) ** 2 / 2,
                           lambda m: np.asarray(m, float), (0.0,))
     problem = ActionProblem(quad_model(), OpenStart(Iq), 1.0, 1.0)
-    traj, val, mins = minimize_action_open_start(problem, steps=300, seed=0)
+    traj, val, mins = minimize_action_open_start(problem, steps=300, seed=0, max_iter=2000,
+                                                 gtol=1e-9)
     assert abs(mins[0].gamma0 - 0.5) <= 1e-6
     assert abs(val - 0.25) <= 1e-9
     assert abs(mins[0].p0 - 0.5) <= 1e-6
@@ -194,7 +195,8 @@ def test_open_start_flat_rate_function_zero_momentum():
     Izero = RateFunctionSpec("flat", lambda m: np.zeros_like(np.asarray(m, float)),
                              lambda m: np.zeros_like(np.asarray(m, float)), (0.0,))
     problem = ActionProblem(MODEL, OpenStart(Izero), 0.0, 1.0)
-    _, val, mins = minimize_action_open_start(problem, steps=300, seed=0)
+    _, val, mins = minimize_action_open_start(problem, steps=300, seed=0, max_iter=2000,
+                                              gtol=1e-9)
     assert abs(val) <= 1e-8
     assert abs(mins[0].p0) <= 1e-4
     assert mins[0].transversality_residual <= 1e-4
@@ -203,7 +205,8 @@ def test_open_start_flat_rate_function_zero_momentum():
 def test_open_start_typical_state_free_flow():
     I = bernoulli_rate(0.5)
     problem = ActionProblem(MODEL, OpenStart(I), 0.5 * math.exp(-2.0), 1.0)
-    _, val, mins = minimize_action_open_start(problem, steps=300, seed=0)
+    _, val, mins = minimize_action_open_start(problem, steps=300, seed=0, max_iter=2000,
+                                              gtol=1e-9)
     assert abs(mins[0].gamma0 - 0.5) <= 2e-3
     assert val <= 1e-5
     assert mins[0].transversality_residual <= 1e-4
@@ -212,7 +215,8 @@ def test_open_start_typical_state_free_flow():
 def test_open_start_double_well_symmetric_pair():
     dw = double_well_rate(1.5)
     problem = ActionProblem(MODEL, OpenStart(dw), 0.0, 3.0)
-    _, val, mins = minimize_action_open_start(problem, steps=300, seed=0)
+    _, val, mins = minimize_action_open_start(problem, steps=300, seed=0, max_iter=2000,
+                                              gtol=1e-9)
     assert len(mins) == 2
     g = sorted(m.gamma0 for m in mins)
     assert abs(g[0] + g[1]) <= 1e-4  # symmetric under negation
@@ -256,12 +260,14 @@ def test_hamilton_flow_zero_momentum_is_drift():
 
 def test_hamilton_flow_blowup_raises_domain_exit():
     with pytest.raises(DomainExit):
-        hamilton_flow_integrate(mag_hamilton_rhs, 0.4, 0.5, 1.0, 1e-4)
+        hamilton_flow_integrate(mag_hamilton_rhs, 0.4, 0.5, 1.0, 1e-4,
+                                hamiltonian=mag_hamiltonian)
 
 
 def test_hamilton_flow_step_size_validated():
     with pytest.raises(ValueError):
-        hamilton_flow_integrate(mag_hamilton_rhs, 0.0, 0.1, 1.0, 0.5)
+        hamilton_flow_integrate(mag_hamilton_rhs, 0.0, 0.1, 1.0, 0.5,
+                                hamiltonian=mag_hamiltonian)
 
 
 def _mixed_round_counter(model):
