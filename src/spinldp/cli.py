@@ -93,6 +93,14 @@ def _int_or(cfg, field, default, lo=None, hi=None, where=""):
     return _need_int(cfg, field, lo, hi, where)
 
 
+def _offset(x) -> int:
+    """One lattice offset from the config: an integral number (3 or 3.0),
+    never a bool; int() alone would truncate 0.5 to 0."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)) or not _finite(x) or x != int(x):
+        raise ConfigError(f"observables: expected lists of integer offsets, got {x!r}")
+    return int(x)
+
+
 def _need_seed(cfg):
     if "seed" not in cfg:
         raise ConfigError("seed: a master seed is mandatory for stochastic commands")
@@ -325,8 +333,8 @@ def cmd_lattice_sim(cfg, out_dir, workers):
     replicas = _need_int(cfg, "replicas", lo=1)
     obs = _need(cfg, "observables", list)
     try:
-        obs_offsets = [[tuple(int(x) for x in o) for o in A] for A in obs]
-    except (TypeError, ValueError, OverflowError) as exc:
+        obs_offsets = [[tuple(_offset(x) for x in o) for o in A] for A in obs]
+    except TypeError as exc:
         raise ConfigError(f"observables: expected lists of integer offsets ({exc})") from exc
     arr = lat.moment_series(dim, side, rates, times, obs_offsets,
                             replicas=replicas, master_seed=seed, workers=workers)

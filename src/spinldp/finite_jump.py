@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .errors import Infeasible, NotInRange, NotWellDefined, SolverNotConverged
 
@@ -158,6 +157,10 @@ def fj_lagrangian_dual(model: JumpModel, alpha):
     After _MAX_NEWTON_ITER iterations still moving it raises
     SolverNotConverged.
     """
+    # imported here, not at module level: this LP is spinldp's only use of
+    # scipy.optimize, whose import costs most of a cold start
+    from scipy.optimize import linprog
+
     alpha = np.asarray(alpha, dtype=float)
     w = model.weights
     n = model.n

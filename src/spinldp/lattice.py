@@ -13,6 +13,7 @@ window.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -163,9 +164,13 @@ class LocalRateSpec:
             if len(pat) != w or set(pat) - {"+", "-"}:
                 raise ConfigError(f"rates: pattern {pat!r} is not {w} characters of '+'/'-'")
             try:
-                table[sum(1 << k for k, ch in enumerate(pat) if ch == "+")] = float(rate)
-            except (TypeError, ValueError) as exc:
+                value = float(rate)
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ConfigError(f"rates: rate {rate!r} of pattern {pat!r} is not a number") from exc
+            # NaN marks a missing pattern in table, so a NaN rate is caught here
+            if not math.isfinite(value):
+                raise ConfigError(f"rates: rate {rate!r} of pattern {pat!r} is not finite")
+            table[sum(1 << k for k, ch in enumerate(pat) if ch == "+")] = value
         missing = np.flatnonzero(np.isnan(table))
         if len(missing):
             pats = ["".join("+" if (c >> k) & 1 else "-" for k in range(w)) for c in missing[:4]]

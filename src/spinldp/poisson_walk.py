@@ -21,13 +21,11 @@ import numpy as np
 
 from .errors import SeriesNotConverged
 from .io_utils import write_csv
-from .seeding import rng_from
 
 __all__ = [
     "PoissonWalkParams",
     "pw_hamiltonian",
     "pw_lagrangian",
-    "pw_simulate",
     "pw_exact_log_prob",
     "pw_rate_convergence",
     "pw_model",
@@ -64,48 +62,6 @@ def pw_lagrangian(a, params: PoissonWalkParams):
     """
     val = _pw_value_and_log_u(a, params.b, params.d)[0]
     return float(val) if val.ndim == 0 else val
-
-
-@dataclass(frozen=True)
-class PiecewisePath:
-    """Piecewise-constant cadlag path: value[i] holds on [times[i], times[i+1])."""
-
-    times: np.ndarray  # jump times, starting with 0.0
-    values: np.ndarray  # path values, values[0] is the initial state
-    horizon: float
-
-    def __call__(self, t):
-        idx = np.searchsorted(self.times, t, side="right") - 1
-        return self.values[idx]
-
-    @property
-    def final(self) -> float:
-        return float(self.values[-1])
-
-
-def pw_simulate(params: PoissonWalkParams, T: float, seed) -> PiecewisePath:
-    """Exact continuous-time path on [0, T] from 0.
-
-    Forward and backward jumps are independent Poisson streams; the jump
-    times are the order statistics of uniforms given the Poisson counts,
-    which reproduces the process law exactly.
-    """
-    if not T > 0:
-        raise ValueError("horizon T must be > 0")
-    rng = rng_from(seed)
-    n_fwd = rng.poisson(params.N * params.b * T)
-    n_bwd = rng.poisson(params.N * params.d * T)
-    t_fwd = np.sort(rng.uniform(0.0, T, size=n_fwd))
-    t_bwd = np.sort(rng.uniform(0.0, T, size=n_bwd))
-    times = np.concatenate([t_fwd, t_bwd])
-    steps = np.concatenate([np.full(n_fwd, 1.0), np.full(n_bwd, -1.0)]) / params.N
-    order = np.argsort(times, kind="stable")
-    times = times[order]
-    steps = steps[order]
-    values = np.concatenate([[0.0], np.cumsum(steps)])
-    return PiecewisePath(
-        times=np.concatenate([[0.0], times]), values=values, horizon=float(T)
-    )
 
 
 _MAX_TERMS = 10_000_000  # summation budget of pw_exact_log_prob

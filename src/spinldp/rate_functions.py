@@ -8,6 +8,9 @@ Built-ins:
   * double_well(beta), beta > 1: the symmetric entropy minus a quadratic,
     shifted so the two wells +-m_beta (solving arctanh(m) = beta m) sit at
     height 0.  A mean-field stand-in for a low-temperature starting phase.
+    m_beta comes from _brentq, a transcription of SciPy's brentq at its
+    default tolerances that returns the same float bit for bit, so the
+    module needs no SciPy import.
   * tabulated(grid, values): linear interpolation.
 
 bernoulli and double_well are defined once, on one float: float + - * /,
@@ -19,11 +22,11 @@ entry equals the float call bit for bit.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = ["RateFunctionSpec", "bernoulli_rate", "double_well_rate", "tabulated_rate"]
 
@@ -38,6 +41,76 @@ class RateFunctionSpec:
 
     def __call__(self, m):
         return self.evaluator(m)
+
+
+# scipy.optimize.brentq's defaults: the step tolerance is
+# (_BRENT_XTOL + _BRENT_RTOL * |x|) / 2, within _BRENT_MAXITER iterations.
+_BRENT_XTOL = 2e-12
+_BRENT_RTOL = 4 * sys.float_info.epsilon
+_BRENT_MAXITER = 100
+
+
+def _brentq(f, xa: float, xb: float) -> float:
+    """A root of f in [xa, xb] by Brent's method (Brent 1973, ch. 4).
+
+    A line-for-line transcription of SciPy's C brentq
+    (scipy/optimize/Zeros/brentq.c) with its NaN check, so it returns
+    scipy.optimize.brentq(f, xa, xb) bit for bit.  Raises ValueError on a
+    NaN value or a bracket without a sign change, RuntimeError when
+    _BRENT_MAXITER iterations do not converge.
+    """
+
+    def fx(x):
+        v = f(x)
+        if math.isnan(v):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return v
+
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = fx(xpre), fx(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (_BRENT_XTOL + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                # C's x/0 is inf or NaN, and either fails the step test: bisect
+                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = fx(xcur)
+    raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} iterations, value is {xcur}")
 
 
 def _elementwise(f, x):
@@ -91,7 +164,7 @@ def bernoulli_rate(y: float) -> RateFunctionSpec:
 def double_well_rate(beta: float) -> RateFunctionSpec:
     if not beta > 1.0:
         raise ValueError("double well needs beta > 1")
-    m_beta = brentq(lambda m: math.atanh(m) - beta * m, 1e-12, 1.0 - 1e-12)
+    m_beta = _brentq(lambda m: math.atanh(m) - beta * m, 1e-12, 1.0 - 1e-12)
     shift = _kl_scalar(m_beta, 0.5, 0.5) - 0.5 * beta * m_beta * m_beta
 
     def ev(m):

@@ -434,3 +434,36 @@ def test_python_dash_m_runs_the_cli():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert "scan-bad" in proc.stdout
+
+
+@pytest.mark.parametrize("offset", [0.5, -1.5, True, "1"], ids=["half", "minus_1.5", "true", "string"])
+def test_lattice_observable_offsets_must_be_integers(tmp_path, capsys, offset):
+    """int() would run 0.5 as offset 0 and exit 0; an offset is an integral
+    number, and JSON true is a bool, not the offset 1."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**LATTICE, "observables": [[[0], [offset]]]}))
+    assert run(["lattice-sim", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+    assert "observables:" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "lattice_moments.csv").exists()
+
+
+def test_lattice_observable_offsets_accept_integral_floats(tmp_path):
+    outs = []
+    for offset in (1, 1.0):
+        path = tmp_path / f"cfg{offset!r}.json"
+        path.write_text(json.dumps({**LATTICE, "observables": [[[0], [offset]]]}))
+        out = tmp_path / f"o{offset!r}"
+        assert run(["lattice-sim", str(path), "--out-dir", str(out)]) == 0
+        outs.append((out / "lattice_moments.csv").read_bytes())
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("rate", [math.nan, math.inf, -math.inf])
+def test_table_rate_must_be_finite(tmp_path, capsys, rate):
+    """A NaN rate was reported as a pattern with no rate."""
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**LATTICE, "rates": {"kind": "table", "dim": 1, "radius": 0,
+                                                     "rates": {"+": rate, "-": 1.0}}}))
+    assert run(["lattice-sim", str(path), "--out-dir", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "rates:" in err and "'+'" in err and "not finite" in err

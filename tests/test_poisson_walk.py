@@ -7,15 +7,12 @@ from hypothesis import strategies as st
 
 from spinldp.duality import duality_gap
 from spinldp.poisson_walk import (
-    PiecewisePath,
     PoissonWalkParams,
     pw_exact_log_prob,
     pw_hamiltonian,
     pw_lagrangian,
     pw_rate_convergence,
-    pw_simulate,
 )
-from spinldp.seeding import child_seed
 
 P21 = PoissonWalkParams(b=2.0, d=1.0, N=100)
 
@@ -90,37 +87,6 @@ def test_vectorized_matches_scalar():
     assert vec.shape == a.shape
     for ai, vi in zip(a, vec):
         assert abs(vi - pw_lagrangian(float(ai), P21)) <= 1e-13
-
-
-def test_simulate_monotone_when_no_backward_jumps():
-    p = PoissonWalkParams(1.5, 0.0, 50)
-    path = pw_simulate(p, 2.0, seed=4)
-    assert np.all(np.diff(path.values) >= 0)
-
-
-def test_simulate_deterministic_given_seed():
-    a = pw_simulate(P21, 1.5, seed=42)
-    b = pw_simulate(P21, 1.5, seed=42)
-    assert np.array_equal(a.times, b.times)
-    assert np.array_equal(a.values, b.values)
-    c = pw_simulate(P21, 1.5, seed=43)
-    assert not np.array_equal(a.times, c.times)
-
-
-def test_simulate_mean_matches_drift():
-    p = PoissonWalkParams(1.0, 1.0, 20)
-    T, reps = 1.0, 10000
-    finals = np.array([pw_simulate(p, T, child_seed(9, r)).final for r in range(reps)])
-    se = finals.std(ddof=1) / math.sqrt(reps)
-    assert abs(finals.mean() - (p.b - p.d) * T) <= 3.0 * se
-
-
-def test_path_evaluation_between_jumps():
-    path = PiecewisePath(times=np.array([0.0, 0.5, 1.0]), values=np.array([0.0, 1.0, 2.0]),
-                         horizon=1.5)
-    assert path(0.25) == 0.0
-    assert path(0.5) == 1.0
-    assert path(1.2) == 2.0
 
 
 def test_exact_log_prob_pure_poisson():

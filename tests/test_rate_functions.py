@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from spinldp.rate_functions import bernoulli_rate, double_well_rate, tabulated_rate
+from spinldp.rate_functions import _brentq, bernoulli_rate, double_well_rate, tabulated_rate
 
 SPECS = {"bernoulli": bernoulli_rate(0.5), "double_well": double_well_rate(1.5)}
 
@@ -94,3 +94,43 @@ def test_tabulated_grid_and_values_must_be_one_length(grid, values):
 def test_tabulated_grid_and_values_must_be_finite(grid, values):
     with pytest.raises(ValueError, match="finite"):
         tabulated_rate(grid, values)
+
+
+# SciPy judges the transcription; tests may load it, spinldp's import path may not
+BETAS = [*np.linspace(1.0, 10.0, 2001)[1:].tolist(), 1.25, 1.5, 2.0, 3.0]
+
+
+def test_double_well_wells_equal_scipy_brentq_bit_for_bit():
+    from scipy.optimize import brentq
+
+    off = []
+    for beta in BETAS:
+        want = brentq(lambda m: math.atanh(m) - beta * m, 1e-12, 1.0 - 1e-12)
+        if double_well_rate(beta).minimizers != (-want, want):
+            off.append(beta)
+    assert off == [], f"{len(off)} of {len(BETAS)} beta differ from SciPy, e.g. {off[:5]}"
+
+
+@pytest.mark.parametrize("f, a, b, error", [
+    (lambda x: x * x + 1.0, -1.0, 1.0, ValueError),  # no sign change
+    (lambda x: math.nan, -1.0, 1.0, ValueError),
+    (lambda x: x ** 9, -1.0, 2.0, RuntimeError),  # 100 iterations do not reach xtol
+])
+def test_brentq_raises_where_scipy_raises(f, a, b, error):
+    from scipy.optimize import brentq
+
+    with pytest.raises(error):
+        brentq(f, a, b)
+    with pytest.raises(error):
+        _brentq(f, a, b)
+
+
+@pytest.mark.parametrize("f, a, b", [
+    (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0),
+    (lambda x: math.cos(x) - x, 0.0, 1.0),
+    (lambda x: math.tanh(50.0 * (x - 0.3)), -1.0, 1.0),
+])
+def test_brentq_equals_scipy_off_the_double_well(f, a, b):
+    from scipy.optimize import brentq
+
+    assert _brentq(f, a, b) == brentq(f, a, b)
