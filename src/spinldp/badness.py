@@ -76,12 +76,13 @@ class SolverOpts:
 
 
 def rate_function_from_descriptor(kind: str, params) -> RateFunctionSpec:
-    """The rate function of a (kind, params) descriptor; ValueError for an
-    unknown kind, a params list of the wrong length, or params the kind's
+    """The rate function of a (kind, params) descriptor; ValueError, its
+    message led by the field at fault ("kind:" or "params:"), for an unknown
+    kind, a params list of the wrong length, or params the kind's
     constructor rejects (non-numeric entries included)."""
     n_params = {"bernoulli": 1, "double_well": 1, "tabulated": 2}.get(kind)
     if n_params is None:
-        raise ValueError(f"unknown rate function kind {kind!r}")
+        raise ValueError(f"kind: unknown rate function kind {kind!r}")
     if len(params) != n_params:
         raise ValueError(f"params: {kind} needs a list of {n_params}, got {len(params)}")
     try:

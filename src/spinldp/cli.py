@@ -7,6 +7,10 @@ only override the seed, worker count, and output directory.  All outputs
 are deterministic given the config: rerunning a command reproduces every
 file byte for byte, at any worker count.
 
+Each command's fields, kinds, ranges and defaults are declared once, in its
+table FIELDS[name]; an unknown key or a bad value exits 2 before any output
+is written.
+
 Exit codes: 0 success, 1 runtime error (the module error name is printed),
 2 config validation failure (with a field diagnostic).
 """
@@ -18,7 +22,6 @@ import json
 import math
 import os
 import sys
-from functools import partial
 
 import numpy as np
 
@@ -33,23 +36,41 @@ from .io_utils import write_csv, write_json
 from .seeding import child_seed
 
 COMMANDS = {}
+REQUIRED = object()  # the default of a field every config must give
 
 
 def command(name):
+    """Register fn as `spinldp name`: walk the config through FIELDS[name], then
+    call fn with the typed values.  The writers make the output directory."""
     def deco(fn):
-        COMMANDS[name] = fn
+        def run(cfg, out_dir, workers):
+            values = _fields(cfg, FIELDS[name], "")
+            config_out_dir = values.pop("out_dir")
+            return fn(values, out_dir or config_out_dir, workers)
+        COMMANDS[name] = run
         return fn
     return deco
 
 
-def _need(cfg, field, types, where=""):
-    if field not in cfg:
-        raise ConfigError(f"{where}{field}: required field missing")
-    v = cfg[field]
-    # JSON true/false load as bool, which isinstance counts as an int
-    if isinstance(v, bool) or not isinstance(v, types):
-        raise ConfigError(f"{where}{field}: expected {types}, got {type(v).__name__}")
-    return v
+def _fields(cfg, table, where):
+    """cfg's fields, each parsed by its (kind, default) entry in table: an
+    unknown key or a missing REQUIRED field is rejected, and an absent field
+    gets kind(default), or None for a None default.  A table in the kind
+    slot is a nested object, walked the same way."""
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{where[:-1] or 'top level'}: expected an object, got {type(cfg).__name__}")
+    unknown = [key for key in cfg if key not in table]
+    if unknown:
+        raise ConfigError(f"{where}{unknown[0]}: unknown field (known: {', '.join(sorted(table))})")
+    out = dict.fromkeys(table)
+    for field, (kind, default) in table.items():
+        if field not in cfg and default is REQUIRED:
+            raise ConfigError(f"{where}{field}: required field missing")
+        if field in cfg or default is not None:
+            value = cfg.get(field, default)
+            out[field] = (_fields(value, kind, f"{where}{field}.") if isinstance(kind, dict)
+                          else kind(value, where + field))
+    return out
 
 
 def _finite(x) -> bool:
@@ -60,54 +81,56 @@ def _finite(x) -> bool:
         return False
 
 
-def _need_number(cfg, field, lo=None, hi=None, where=""):
-    v = _need(cfg, field, (int, float), where)
-    if not _finite(v):
-        raise ConfigError(f"{where}{field}: must be a finite number, got {v!r}")
-    if lo is not None and v < lo:
-        raise ConfigError(f"{where}{field}: must be >= {lo}, got {v}")
-    if hi is not None and v > hi:
-        raise ConfigError(f"{where}{field}: must be <= {hi}, got {v}")
-    return float(v)
+def _number(lo=None, hi=None, count=False):
+    """Kind of a finite number in [lo, hi], parsed as float; a count is
+    integral (3 or 3.0) and parsed as int."""
+    def parse(v, where):
+        # JSON true/false load as bool, which isinstance counts as an int
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise ConfigError(f"{where}: expected a number, got {type(v).__name__}")
+        if not _finite(v):
+            raise ConfigError(f"{where}: must be a finite number, got {v!r}")
+        if lo is not None and v < lo:
+            raise ConfigError(f"{where}: must be >= {lo}, got {v}")
+        if hi is not None and v > hi:
+            raise ConfigError(f"{where}: must be <= {hi}, got {v}")
+        if count and v != int(v):
+            raise ConfigError(f"{where}: expected an integer, got {v!r}")
+        return int(v) if count else float(v)
+    return parse
 
 
-def _number_or(cfg, field, default, lo=None, hi=None, where=""):
-    """_need_number for an optional field: float(default) when it is absent."""
-    if field not in cfg:
-        return float(default)
-    return _need_number(cfg, field, lo, hi, where)
+_COUNT = _number(lo=1, count=True)
+_DIM = _number(lo=1, hi=2, count=True)
+_MAGNETIZATION = _number(lo=-1.0, hi=1.0)
 
 
-def _need_int(cfg, field, lo=None, hi=None, where=""):
-    """_need_number for a count: an integral value (3 or 3.0), returned as int."""
-    v = _need_number(cfg, field, lo, hi, where)
-    if not v.is_integer():
-        raise ConfigError(f"{where}{field}: expected an integer, got {cfg[field]!r}")
-    return int(v)
+def _typed(json_type, name):
+    """Kind of a JSON value of one type, passed through unchanged."""
+    def parse(v, where):
+        if not isinstance(v, json_type):
+            raise ConfigError(f"{where}: expected {name}, got {type(v).__name__}")
+        return v
+    return parse
 
 
-def _int_or(cfg, field, default, lo=None, hi=None, where=""):
-    """_need_int for an optional field: default when it is absent."""
-    if field not in cfg:
-        return default
-    return _need_int(cfg, field, lo, hi, where)
+_list, _object = _typed(list, "a list"), _typed(dict, "a JSON object")
+_text, _flag = _typed(str, "a string"), _typed(bool, "true or false")
 
 
-def _offset(x) -> int:
-    """One lattice offset from the config: an integral number (3 or 3.0),
-    never a bool; int() alone would truncate 0.5 to 0."""
-    if isinstance(x, bool) or not isinstance(x, (int, float)) or not _finite(x) or x != int(x):
-        raise ConfigError(f"observables: expected lists of integer offsets, got {x!r}")
-    return int(x)
+def _path(v, where):
+    if not isinstance(v, str) or not v:
+        raise ConfigError(f"{where}: expected a non-empty path string, got {v!r}")
+    return v
 
 
-def _need_seed(cfg):
-    if "seed" not in cfg:
-        raise ConfigError("seed: a master seed is mandatory for stochastic commands")
-    seed = _need(cfg, "seed", (int,))
-    if seed < 0:
-        raise ConfigError(f"seed: must be >= 0, got {seed}")
-    return seed
+def _seed(v, where):
+    """Kind of a master seed: a JSON integer >= 0 (SeedSequence entropy)."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ConfigError(f"{where}: expected an integer, got {v!r}")
+    if v < 0:
+        raise ConfigError(f"{where}: must be >= 0, got {v}")
+    return v
 
 
 def _odd_side(v, where):
@@ -117,111 +140,165 @@ def _odd_side(v, where):
     return int(v)
 
 
+_GRID = {"start": (_number(), REQUIRED), "stop": (_number(), REQUIRED),
+         "num": (_COUNT, REQUIRED), "log": (_flag, False)}
+
+
 def _grid(spec, where):
-    """Either an explicit list or {start, stop, num[, log]}"""
+    """Either a non-empty explicit list or {start, stop, num[, log]}"""
     if isinstance(spec, list):
         bad = [x for x in spec
                if isinstance(x, bool) or not isinstance(x, (int, float)) or not _finite(x)]
         if bad:
             raise ConfigError(f"{where}: expected finite numbers, got {bad[0]!r}")
+        if not spec:
+            raise ConfigError(f"{where}: expected at least one value, got []")
         return [float(x) for x in spec]
     if isinstance(spec, dict):
-        start = _need_number(spec, "start", where=where + ".")
-        stop = _need_number(spec, "stop", where=where + ".")
-        num = _need_int(spec, "num", lo=1, where=where + ".")
-        log = spec.get("log", False)
-        if not isinstance(log, bool):
-            raise ConfigError(f"{where}.log: expected true or false, got {log!r}")
-        if log:
-            if start <= 0 or stop <= 0:
+        g = _fields(spec, _GRID, where + ".")
+        if g["log"]:
+            if g["start"] <= 0 or g["stop"] <= 0:
                 raise ConfigError(f"{where}: log grid needs positive endpoints")
-            return list(np.logspace(math.log10(start), math.log10(stop), num))
-        return list(np.linspace(start, stop, num))
+            return list(np.logspace(math.log10(g["start"]), math.log10(g["stop"]), g["num"]))
+        return list(np.linspace(g["start"], g["stop"], g["num"]))
     raise ConfigError(f"{where}: expected list or grid object")
 
 
-def _rates_from_config(spec, where="rates"):
-    kind = _need(spec, "kind", str, where + ".")
-    if kind == "constant":
-        dim = _need_int(spec, "dim", lo=1, hi=2, where=where + ".")
-        return lat.LocalRateSpec.constant(
-            _need_number(spec, "value", lo=1e-12, where=where + "."), dim,
-            _int_or(spec, "radius", 0, lo=0, where=where + "."))
-    if kind == "table":
-        return lat.LocalRateSpec.from_dict(spec)
-    if kind == "random":
-        dim = _need_int(spec, "dim", lo=1, hi=2, where=where + ".")
-        return lat.LocalRateSpec.random_table(
-            dim, _need_int(spec, "radius", lo=0, where=where + "."),
-            _need_int(spec, "seed", lo=0, where=where + "."),
-            _number_or(spec, "lo", 0.2, lo=1e-12, where=where + "."),
-            _number_or(spec, "hi", 5.0, lo=1e-12, where=where + "."))
-    raise ConfigError(f"{where}.kind: unknown kind {kind!r}")
-
-
-def _n_list(cfg, field="N_list"):
-    n_list = _grid(_need(cfg, field, list), field)
-    if not n_list or any(n < 1 or not n.is_integer() for n in n_list):
-        raise ConfigError(f"{field}: need positive integers, got {cfg[field]!r}")
+def _n_list(v, where):
+    n_list = _grid(_list(v, where), where)
+    if any(n < 1 or not n.is_integer() for n in n_list):
+        raise ConfigError(f"{where}: need positive integers, got {v!r}")
     return [int(n) for n in n_list]
 
 
-def _sides(cfg, field):
+def _sides(v, where):
     """Torus sides for the finite-size fit: odd, >= 3, at least two distinct."""
-    sides = [_odd_side(s, field) for s in _need(cfg, field, list)]
+    sides = [_odd_side(s, where) for s in _list(v, where)]
     if len(set(sides)) < 2:
-        raise ConfigError(f"{field}: the scaling fit needs at least two distinct sides, "
+        raise ConfigError(f"{where}: the scaling fit needs at least two distinct sides, "
                           f"got {sides}")
     return sides
 
 
-# verify's overrides of verification.DEFAULTS (all but the seed), each
-# checked before any criterion runs.
+def _float_array(v, where):
+    try:
+        arr = np.array(_list(v, where), dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{where}: expected a numeric array ({exc})") from exc
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError(f"{where}: every entry must be finite")
+    return arr
+
+
+def _offset(x, where) -> int:
+    """One lattice offset from the config: an integral number (3 or 3.0),
+    never a bool; int() alone would truncate 0.5 to 0."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)) or not _finite(x) or x != int(x):
+        raise ConfigError(f"{where}: expected lists of integer offsets, got {x!r}")
+    return int(x)
+
+
+def _observables(v, where):
+    try:
+        return [[tuple(_offset(x, where) for x in o) for o in A] for A in _list(v, where)]
+    except TypeError as exc:
+        raise ConfigError(f"{where}: expected lists of integer offsets ({exc})") from exc
+
+
+# lattice-sim's rates: one table per kind
+_RADIUS = _number(lo=0, count=True)
+_RATES = {
+    "constant": {"kind": (_text, REQUIRED), "dim": (_DIM, REQUIRED),
+                 "value": (_number(lo=1e-12), REQUIRED), "radius": (_RADIUS, 0)},
+    "table": {"kind": (_text, REQUIRED), "dim": (_DIM, REQUIRED),
+              "radius": (_RADIUS, REQUIRED), "rates": (_object, REQUIRED)},
+    "random": {"kind": (_text, REQUIRED), "dim": (_DIM, REQUIRED),
+               "radius": (_RADIUS, REQUIRED), "seed": (_number(lo=0, count=True), REQUIRED),
+               "lo": (_number(lo=1e-12), 0.2), "hi": (_number(lo=1e-12), 5.0)},
+}
+
+
+def _rates(spec, where):
+    """The LocalRateSpec of a rates object, walked by the table its kind selects."""
+    kind = _object(spec, where).get("kind")
+    if not isinstance(kind, str) or kind not in _RATES:
+        raise ConfigError(f"{where}.kind: expected one of {', '.join(_RATES)}, got {kind!r}")
+    r = _fields(spec, _RATES[kind], where + ".")
+    if kind == "constant":
+        return lat.LocalRateSpec.constant(r["value"], r["dim"], r["radius"])
+    if kind == "random":
+        return lat.LocalRateSpec.random_table(r["dim"], r["radius"], r["seed"], r["lo"], r["hi"])
+    return lat.LocalRateSpec.from_dict(r)
+
+
+# verify's overrides of verification.DEFAULTS (all but the seed)
+_TWO = _number(lo=2, count=True)  # a bootstrap SE, a standard error, a first and a last T
 _VERIFY_FIELDS = {
-    "c2_samples": partial(_need_int, lo=1),
-    "c3_N_list": _n_list,
-    "c5_instances": partial(_need_int, lo=1),
-    "c6_sides": _sides,
-    "c7_models": partial(_need_int, lo=1),
-    "c9_replicas": partial(_need_int, lo=2),  # a bootstrap SE needs two
-    "c10_T_points": partial(_need_int, lo=2),  # the column needs a first and a last T
-    "c10_scan_points": partial(_need_int, lo=1),
-    "c11_replicas": partial(_need_int, lo=2),  # a standard error needs two
-    "c11_side": lambda cfg, f: _odd_side(_need(cfg, f, (int, float)), f),
+    "c2_samples": (_COUNT, None), "c3_N_list": (_n_list, None), "c5_instances": (_COUNT, None),
+    "c6_sides": (_sides, None), "c7_models": (_COUNT, None), "c9_replicas": (_TWO, None),
+    "c10_T_points": (_TWO, None), "c10_scan_points": (_COUNT, None),
+    "c11_replicas": (_TWO, None), "c11_side": (_odd_side, None),
+}
+_OUT_DIR = (_path, "out")
+
+# Each command's fields {field: (kind, default)}; a None default leaves the
+# value to the command or to verification.DEFAULTS.  --seed writes seed into
+# any config, so every command declares it.
+FIELDS = {
+    "pw-rate": {"b": (_number(lo=1e-12), REQUIRED), "d": (_number(lo=0.0), REQUIRED),
+                "t": (_number(lo=1e-12), REQUIRED), "a": (_number(), REQUIRED),
+                "N_list": (_n_list, REQUIRED), "seed": (_seed, None), "out_dir": _OUT_DIR},
+    "mag-rate": {"seed": (_seed, REQUIRED), "m0": (_MAGNETIZATION, REQUIRED),
+                 "mT": (_MAGNETIZATION, REQUIRED), "T": (_number(lo=1e-9), REQUIRED),
+                 "steps": (_COUNT, 400), "N_list": (_n_list, REQUIRED), "out_dir": _OUT_DIR},
+    "mag-bvp": {"m0": (_MAGNETIZATION, REQUIRED), "mT": (_MAGNETIZATION, REQUIRED),
+                "T": (_number(lo=1e-9), REQUIRED), "steps": (_COUNT, 2000),
+                "seed": (_seed, None), "out_dir": _OUT_DIR},
+    "fd-lagrangian": {"D": (_float_array, REQUIRED), "c": (_float_array, REQUIRED),
+                      "mu": (_float_array, REQUIRED), "alpha": (_float_array, REQUIRED),
+                      "seed": (_seed, None), "out_dir": _OUT_DIR},
+    "scan-bad": {
+        "seed": (_seed, REQUIRED), "out_dir": _OUT_DIR,
+        "rate_function": ({"kind": (_text, REQUIRED), "params": (_list, REQUIRED)}, REQUIRED),
+        "T_grid": (_grid, REQUIRED), "mT_grid": (_grid, REQUIRED),
+        "solver": ({"dt_target": (_number(lo=1e-12), bd.SolverOpts.dt_target),
+                    "min_steps": (_COUNT, bd.SolverOpts.min_steps),
+                    "max_iter": (_COUNT, bd.SolverOpts.max_iter),
+                    "gtol": (_number(lo=0.0), bd.SolverOpts.gtol)}, {}),
+        "epsilon": (_number(lo=0.0), 0.1), "delta": (_number(lo=1e-12), 0.05)},
+    "lattice-sim": {"seed": (_seed, REQUIRED), "dim": (_DIM, REQUIRED),
+                    "side": (_odd_side, REQUIRED), "rates": (_rates, REQUIRED),
+                    "times": (_grid, REQUIRED), "replicas": (_COUNT, REQUIRED),
+                    "observables": (_observables, REQUIRED), "out_dir": _OUT_DIR},
+    "lattice-check": {"seed": (_seed, REQUIRED), "instances": _VERIFY_FIELDS["c5_instances"],
+                      "sides": _VERIFY_FIELDS["c6_sides"], "out_dir": _OUT_DIR},
+    "verify": {"seed": (_seed, None), "criteria": (_list, None), **_VERIFY_FIELDS,
+               "out_dir": _OUT_DIR},
 }
 
 
 @command("pw-rate")
-def cmd_pw_rate(cfg, out_dir, workers):
-    b = _need_number(cfg, "b", lo=1e-12)
-    d = _need_number(cfg, "d", lo=0.0)
-    t = _need_number(cfg, "t", lo=1e-12)
-    a = _need_number(cfg, "a")
-    n_list = _n_list(cfg)
-    params = pw.PoissonWalkParams(b, d, 1)
-    rows = pw.pw_rate_convergence(params, n_list, t, a,
+def cmd_pw_rate(v, out_dir, workers):
+    params = pw.PoissonWalkParams(v["b"], v["d"], 1)
+    rows = pw.pw_rate_convergence(params, v["N_list"], v["t"], v["a"],
                                   csv_path=os.path.join(out_dir, "pw_rate.csv"))
     print(f"pw-rate: final gap {rows[-1]['gap']:+.6f} at N={rows[-1]['N']}")
     return 0
 
 
 @command("mag-rate")
-def cmd_mag_rate(cfg, out_dir, workers):
-    seed = _need_seed(cfg)
-    m0 = _need_number(cfg, "m0", lo=-1.0, hi=1.0)
-    mT = _need_number(cfg, "mT", lo=-1.0, hi=1.0)
-    T = _need_number(cfg, "T", lo=1e-9)
-    steps = _int_or(cfg, "steps", 400, lo=1)
+def cmd_mag_rate(v, out_dir, workers):
+    m0, mT, T = v["m0"], v["mT"], v["T"]
     # the oracle's integrality rule, before the minimization
     exact = []
-    for n in _n_list(cfg):
+    for n in v["N_list"]:
         try:
             exact.append((n, -mag.mag_exact_log_prob(n, m0, T, mT) / n))
         except ValueError as exc:
             raise ConfigError(f"N_list: N={n} incompatible with the endpoints ({exc})") from exc
     model = mag.mag_model()
     problem = tr.ActionProblem(model, tr.FixedStart(m0), mT, T)
-    _, action = tr.minimize_action_fixed(problem, steps=steps, seed=child_seed(seed, 0))
+    _, action = tr.minimize_action_fixed(problem, steps=v["steps"], seed=child_seed(v["seed"], 0))
     rows = [[n, m0, T, mT, e, action, e - action] for n, e in exact]
     write_csv(os.path.join(out_dir, "mag_rate.csv"),
               ["N", "m0", "T", "mT", "exact_rate", "action", "gap"], rows)
@@ -230,12 +307,9 @@ def cmd_mag_rate(cfg, out_dir, workers):
 
 
 @command("mag-bvp")
-def cmd_mag_bvp(cfg, out_dir, workers):
-    m0 = _need_number(cfg, "m0", lo=-1.0, hi=1.0)
-    mT = _need_number(cfg, "mT", lo=-1.0, hi=1.0)
-    T = _need_number(cfg, "T", lo=1e-9)
-    steps = _int_or(cfg, "steps", 2000, lo=1)
-    c1, c2, path = mag.mag_extremal(m0, mT, T)
+def cmd_mag_bvp(v, out_dir, workers):
+    T, steps = v["T"], v["steps"]
+    c1, c2, path = mag.mag_extremal(v["m0"], v["mT"], T)
     times = np.linspace(0.0, T, steps + 1)
     values = path(times)
     traj = tr.TrajectoryGrid(T=T, steps=steps, values=values)
@@ -243,30 +317,20 @@ def cmd_mag_bvp(cfg, out_dir, workers):
     action = tr.action_integral(model, traj)
     resid = tr.euler_lagrange_residual(model, traj)
     write_csv(os.path.join(out_dir, "mag_bvp.csv"), ["t", "value"],
-              [[float(t), float(v)] for t, v in zip(times, values)])
+              [[float(t), float(m)] for t, m in zip(times, values)])
     write_json(os.path.join(out_dir, "mag_bvp.json"),
                {"C1": c1, "C2": c2, "action": action, "el_residual": resid})
     print(f"mag-bvp: C1={c1:.7f} C2={c2:.7f} action={action:.6f} el_residual={resid:.2e}")
     return 0
 
 
-def _float_array(cfg, field):
-    try:
-        arr = np.array(_need(cfg, field, list), dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{field}: expected a numeric array ({exc})") from exc
-    if not np.all(np.isfinite(arr)):
-        raise ConfigError(f"{field}: every entry must be finite")
-    return arr
-
-
 @command("fd-lagrangian")
-def cmd_fd_lagrangian(cfg, out_dir, workers):
-    D, c, mu, alpha = (_float_array(cfg, f) for f in ("D", "c", "mu", "alpha"))
+def cmd_fd_lagrangian(v, out_dir, workers):
     try:
-        model = fj.JumpModel(D, c, mu)
+        model = fj.JumpModel(v["D"], v["c"], v["mu"])
     except ValueError as exc:
         raise ConfigError(f"D/c/mu: {exc}") from exc
+    alpha = v["alpha"]
     out = {"C_mu": model.C_mu}
     try:
         out["variational"] = fj.fj_lagrangian_variational(model, alpha)
@@ -287,34 +351,20 @@ def cmd_fd_lagrangian(cfg, out_dir, workers):
 
 
 @command("scan-bad")
-def cmd_scan_bad(cfg, out_dir, workers):
-    seed = _need_seed(cfg)
-    rf = _need(cfg, "rate_function", dict)
-    kind = _need(rf, "kind", str, "rate_function.")
-    params = tuple(_need(rf, "params", list, "rate_function."))
+def cmd_scan_bad(v, out_dir, workers):
+    kind, params = v["rate_function"]["kind"], tuple(v["rate_function"]["params"])
     try:
         bd.rate_function_from_descriptor(kind, params)
     except ValueError as exc:
-        raise ConfigError(f"rate_function: {exc}") from exc
-    T_grid = _grid(_need(cfg, "T_grid", (list, dict)), "T_grid")
+        raise ConfigError(f"rate_function.{exc}") from exc  # exc names kind or params
+    T_grid, mT_grid = v["T_grid"], v["mT_grid"]
     if not all(T > 0 for T in T_grid):
         raise ConfigError(f"T_grid: every horizon must be > 0, got {T_grid}")
-    mT_grid = _grid(_need(cfg, "mT_grid", (list, dict)), "mT_grid")
     if not all(-1.0 <= m <= 1.0 for m in mT_grid):
         raise ConfigError(f"mT_grid: every endpoint must lie in [-1, 1], got {mT_grid}")
-    solver = _need(cfg, "solver", dict) if "solver" in cfg else {}
-    default = bd.SolverOpts()
-    opts = bd.SolverOpts(
-        dt_target=_number_or(solver, "dt_target", default.dt_target, lo=1e-12, where="solver."),
-        min_steps=_int_or(solver, "min_steps", default.min_steps, lo=1, where="solver."),
-        max_iter=_int_or(solver, "max_iter", default.max_iter, lo=1, where="solver."),
-        gtol=_number_or(solver, "gtol", default.gtol, lo=0.0, where="solver."),
-    )
     result = bd.badness_scan(
-        kind, params, T_grid, mT_grid,
-        epsilon=_number_or(cfg, "epsilon", 0.1, lo=0.0),
-        delta=_number_or(cfg, "delta", 0.05, lo=1e-12),
-        opts=opts, master_seed=seed, workers=workers,
+        kind, params, T_grid, mT_grid, epsilon=v["epsilon"], delta=v["delta"],
+        opts=bd.SolverOpts(**v["solver"]), master_seed=v["seed"], workers=workers,
         csv_path=os.path.join(out_dir, "scan_bad.csv"),
     )
     print(f"scan-bad: {result.bad_count()} bad cells of {len(result.cells)}")
@@ -322,25 +372,18 @@ def cmd_scan_bad(cfg, out_dir, workers):
 
 
 @command("lattice-sim")
-def cmd_lattice_sim(cfg, out_dir, workers):
-    seed = _need_seed(cfg)
-    dim = _need_int(cfg, "dim", lo=1, hi=2)
-    side = _odd_side(_need(cfg, "side", (int, float)), "side")
-    rates = _rates_from_config(_need(cfg, "rates", dict))
-    times = sorted(_grid(_need(cfg, "times", (list, dict)), "times"))
-    if not times or times[0] < 0:
-        raise ConfigError(f"times: need at least one checkpoint, all >= 0, got {times}")
-    replicas = _need_int(cfg, "replicas", lo=1)
-    obs = _need(cfg, "observables", list)
-    try:
-        obs_offsets = [[tuple(_offset(x) for x in o) for o in A] for A in obs]
-    except TypeError as exc:
-        raise ConfigError(f"observables: expected lists of integer offsets ({exc})") from exc
-    arr = lat.moment_series(dim, side, rates, times, obs_offsets,
+def cmd_lattice_sim(v, out_dir, workers):
+    seed, dim, side, rates, replicas = v["seed"], v["dim"], v["side"], v["rates"], v["replicas"]
+    if rates.dim != dim:
+        raise ConfigError(f"rates.dim: {rates.dim} differs from the lattice's dim {dim}")
+    times = sorted(v["times"])
+    if times[0] < 0:
+        raise ConfigError(f"times: every checkpoint must be >= 0, got {times}")
+    arr = lat.moment_series(dim, side, rates, times, v["observables"],
                             replicas=replicas, master_seed=seed, workers=workers)
     rows = []
     for ti, t in enumerate(times):
-        for oi, offsets in enumerate(obs_offsets):
+        for oi, offsets in enumerate(v["observables"]):
             vals = arr[:, ti, oi]
             se = float(np.std(vals, ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else 0.0
             rows.append([t, json.dumps([list(o) for o in offsets]),
@@ -359,16 +402,11 @@ def cmd_lattice_sim(cfg, out_dir, workers):
 
 
 @command("lattice-check")
-def cmd_lattice_check(cfg, out_dir, workers):
-    seed = _need_seed(cfg)
+def cmd_lattice_check(v, out_dir, workers):
     from .verification import criterion_5, criterion_6, DEFAULTS
 
-    merged = dict(DEFAULTS)
-    merged["seed"] = seed
-    if "instances" in cfg:
-        merged["c5_instances"] = _need_int(cfg, "instances", lo=1)
-    if "sides" in cfg:
-        merged["c6_sides"] = _sides(cfg, "sides")
+    overrides = {"seed": v["seed"], "c5_instances": v["instances"], "c6_sides": v["sides"]}
+    merged = {**DEFAULTS, **{k: x for k, x in overrides.items() if x is not None}}
     r5 = criterion_5(merged)
     r6 = criterion_6(merged)
     out = {
@@ -382,19 +420,15 @@ def cmd_lattice_check(cfg, out_dir, workers):
 
 
 @command("verify")
-def cmd_verify(cfg, out_dir, workers):
-    from .verification import CRITERIA, DEFAULTS, run_criteria
+def cmd_verify(v, out_dir, workers):
+    from .verification import CRITERIA, run_criteria
 
-    seed = _need_seed(cfg) if "seed" in cfg else DEFAULTS["seed"]
-    merged = {k: check(cfg, k) for k, check in _VERIFY_FIELDS.items() if k in cfg}
-    merged["seed"] = seed
-    indices = cfg.get("criteria")
-    if indices is not None:
-        indices = _need(cfg, "criteria", list)
-        bad = [i for i in indices if type(i) is not int or i not in CRITERIA]
-        if bad:
-            raise ConfigError(f"criteria: unknown indices {bad} (valid {sorted(CRITERIA)})")
-    results = run_criteria(indices, merged, workers=workers)
+    indices = v.pop("criteria")
+    bad = [i for i in indices or () if type(i) is not int or i not in CRITERIA]
+    if bad:
+        raise ConfigError(f"criteria: unknown indices {bad} (valid {sorted(CRITERIA)})")
+    results = run_criteria(indices, {k: x for k, x in v.items() if x is not None},
+                           workers=workers)
     write_csv(os.path.join(out_dir, "verify_summary.csv"),
               ["index", "name", "passed", "detail"],
               [[r.index, r.name, int(r.passed), r.detail] for r in results])
@@ -433,13 +467,9 @@ def main(argv=None) -> int:
             raise ConfigError("config: a JSON config file is required")
         if args.seed is not None:
             cfg["seed"] = args.seed
-        out_dir = args.out_dir or cfg.get("out_dir", "out")
-        if not isinstance(out_dir, str) or not out_dir:
-            raise ConfigError(f"out_dir: expected a non-empty path string, got {out_dir!r}")
         if args.workers < 1:
             raise ConfigError("workers: must be >= 1")
-        os.makedirs(out_dir, exist_ok=True)
-        return COMMANDS[args.command](cfg, out_dir, args.workers)
+        return COMMANDS[args.command](cfg, args.out_dir, args.workers)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -163,10 +164,13 @@ class LocalRateSpec:
         for pat, rate in rates.items():
             if len(pat) != w or set(pat) - {"+", "-"}:
                 raise ConfigError(f"rates: pattern {pat!r} is not {w} characters of '+'/'-'")
+            # float() would run JSON true as 1.0 and "2.5" as 2.5
+            if isinstance(rate, bool) or not isinstance(rate, numbers.Real):
+                raise ConfigError(f"rates: rate {rate!r} of pattern {pat!r} is not a number")
             try:
                 value = float(rate)
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ConfigError(f"rates: rate {rate!r} of pattern {pat!r} is not a number") from exc
+            except OverflowError as exc:
+                raise ConfigError(f"rates: rate {rate!r} of pattern {pat!r} is not finite") from exc
             # NaN marks a missing pattern in table, so a NaN rate is caught here
             if not math.isfinite(value):
                 raise ConfigError(f"rates: rate {rate!r} of pattern {pat!r} is not finite")
