@@ -23,13 +23,13 @@ the crossover.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .errors import SpinLDPError
-from .io_utils import write_csv
 from .magnetization import mag_endpoint_rate, mag_model
 from .rate_functions import RateFunctionSpec, bernoulli_rate, double_well_rate, tabulated_rate
 from .seeding import child_seed, ordered_map
@@ -48,7 +48,6 @@ __all__ = [
     "is_bad",
     "nature_nurture_classify",
     "badness_scan",
-    "BadnessScanResult",
     "rate_function_from_descriptor",
 ]
 
@@ -75,6 +74,13 @@ class SolverOpts:
         return max(self.min_steps, int(math.ceil(T / self.dt_target)))
 
 
+def _real(x) -> float:
+    """x as a float; float() and np.asarray would run "0.5" as 0.5 and true as 1.0."""
+    if isinstance(x, bool) or not isinstance(x, numbers.Real):
+        raise TypeError(f"expected a number, got {x!r}")
+    return float(x)
+
+
 def rate_function_from_descriptor(kind: str, params) -> RateFunctionSpec:
     """The rate function of a (kind, params) descriptor; ValueError, its
     message led by the field at fault ("kind:" or "params:"), for an unknown
@@ -87,10 +93,10 @@ def rate_function_from_descriptor(kind: str, params) -> RateFunctionSpec:
         raise ValueError(f"params: {kind} needs a list of {n_params}, got {len(params)}")
     try:
         if kind == "bernoulli":
-            return bernoulli_rate(float(params[0]))
+            return bernoulli_rate(_real(params[0]))
         if kind == "double_well":
-            return double_well_rate(float(params[0]))
-        return tabulated_rate(params[0], params[1])
+            return double_well_rate(_real(params[0]))
+        return tabulated_rate([_real(x) for x in params[0]], [_real(x) for x in params[1]])
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"params: {kind}: {exc}") from exc
 
@@ -222,28 +228,6 @@ class ScanCell:
     error: str = ""
 
 
-@dataclass(frozen=True)
-class BadnessScanResult:
-    kind: str
-    params: tuple
-    cells: tuple
-
-    def bad_count(self) -> int:
-        return sum(1 for c in self.cells if c.bad)
-
-    def write_csv(self, path):
-        write_csv(
-            path,
-            ["T", "mT", "n_minimizers", "gamma0_list", "cost", "bad", "label",
-             "d_nature", "d_nurture", "error"],
-            [
-                [c.T, c.mT, c.n_minimizers, list(c.gamma0_list), c.cost,
-                 int(c.bad), c.label, c.d_nature, c.d_nurture, c.error]
-                for c in self.cells
-            ],
-        )
-
-
 def _scan_cell(args):
     (kind, params, T, mT, epsilon, delta, opts, master_seed, index) = args
     I = rate_function_from_descriptor(kind, params)
@@ -282,9 +266,8 @@ def badness_scan(
     opts: SolverOpts = SolverOpts(),
     master_seed: int = 0,
     workers: int = 1,
-    csv_path=None,
-) -> BadnessScanResult:
-    """Phase-diagram harness: per-cell minimizer sets, badness, labels.
+) -> tuple:
+    """Phase-diagram harness: the ScanCell of every (T, mT), T-major.
 
     Cells are seeded by (master_seed, cell index) and assembled in index
     order, so the result is identical for any worker count.  Per-cell
@@ -298,8 +281,4 @@ def badness_scan(
             jobs.append((I_kind, tuple(I_params), float(T), float(mT),
                          epsilon, delta, opts, master_seed, idx))
             idx += 1
-    cells = tuple(ordered_map(_scan_cell, jobs, workers))
-    out = BadnessScanResult(kind=I_kind, params=tuple(I_params), cells=cells)
-    if csv_path is not None:
-        out.write_csv(csv_path)
-    return out
+    return tuple(ordered_map(_scan_cell, jobs, workers))

@@ -9,7 +9,8 @@ file byte for byte, at any worker count.
 
 Each command's fields, kinds, ranges and defaults are declared once, in its
 table FIELDS[name]; an unknown key or a bad value exits 2 before any output
-is written.
+is written.  The library modules return values: every output file is
+written here, and every config is parsed here.
 
 Exit codes: 0 success, 1 runtime error (the module error name is printed),
 2 config validation failure (with a field diagnostic).
@@ -181,9 +182,18 @@ def _sides(v, where):
 
 
 def _float_array(v, where):
+    def leaves(x):
+        for y in x:
+            yield from leaves(y) if isinstance(y, list) else (y,)
+
+    # np.array(..., dtype=float) would run "2.0" as 2.0 and true as 1.0
+    bad = [x for x in leaves(_list(v, where))
+           if isinstance(x, bool) or not isinstance(x, (int, float))]
+    if bad:
+        raise ConfigError(f"{where}: expected a numeric array, got {bad[0]!r}")
     try:
-        arr = np.array(_list(v, where), dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
+        arr = np.array(v, dtype=float)
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"{where}: expected a numeric array ({exc})") from exc
     if not np.all(np.isfinite(arr)):
         raise ConfigError(f"{where}: every entry must be finite")
@@ -219,7 +229,8 @@ _RATES = {
 
 
 def _rates(spec, where):
-    """The LocalRateSpec of a rates object, walked by the table its kind selects."""
+    """The LocalRateSpec of a rates object, walked by the table its kind
+    selects; the table kind's rates give one finite rate per window pattern."""
     kind = _object(spec, where).get("kind")
     if not isinstance(kind, str) or kind not in _RATES:
         raise ConfigError(f"{where}.kind: expected one of {', '.join(_RATES)}, got {kind!r}")
@@ -228,11 +239,31 @@ def _rates(spec, where):
         return lat.LocalRateSpec.constant(r["value"], r["dim"], r["radius"])
     if kind == "random":
         return lat.LocalRateSpec.random_table(r["dim"], r["radius"], r["seed"], r["lo"], r["hi"])
-    return lat.LocalRateSpec.from_dict(r)
+    w = (2 * r["radius"] + 1) ** r["dim"]
+    table = np.full(2**w, np.nan)
+    for pat, rate in r["rates"].items():
+        if len(pat) != w or set(pat) - {"+", "-"}:
+            raise ConfigError(f"{where}: pattern {pat!r} is not {w} characters of '+'/'-'")
+        # float() would run JSON true as 1.0 and "2.5" as 2.5
+        if isinstance(rate, bool) or not isinstance(rate, (int, float)):
+            raise ConfigError(f"{where}: rate {rate!r} of pattern {pat!r} is not a number")
+        # NaN marks a missing pattern in table, so a NaN rate is caught here
+        if not _finite(rate):
+            raise ConfigError(f"{where}: rate {rate!r} of pattern {pat!r} is not finite")
+        table[sum(1 << k for k, ch in enumerate(pat) if ch == "+")] = rate
+    missing = np.flatnonzero(np.isnan(table))
+    if len(missing):
+        pats = ["".join("+" if (c >> k) & 1 else "-" for k in range(w)) for c in missing[:4]]
+        raise ConfigError(f"{where}: {len(missing)} of {len(table)} window patterns have no rate, "
+                          f"e.g. {pats}")
+    try:
+        return lat.LocalRateSpec(r["dim"], r["radius"], table)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 # verify's overrides of verification.DEFAULTS (all but the seed)
-_TWO = _number(lo=2, count=True)  # a bootstrap SE, a standard error, a first and a last T
+_TWO = _number(lo=2, count=True)  # a standard error, a first and a last T
 _VERIFY_FIELDS = {
     "c2_samples": (_COUNT, None), "c3_N_list": (_n_list, None), "c5_instances": (_COUNT, None),
     "c6_sides": (_sides, None), "c7_models": (_COUNT, None), "c9_replicas": (_TWO, None),
@@ -280,8 +311,10 @@ FIELDS = {
 @command("pw-rate")
 def cmd_pw_rate(v, out_dir, workers):
     params = pw.PoissonWalkParams(v["b"], v["d"], 1)
-    rows = pw.pw_rate_convergence(params, v["N_list"], v["t"], v["a"],
-                                  csv_path=os.path.join(out_dir, "pw_rate.csv"))
+    rows = pw.pw_rate_convergence(params, v["N_list"], v["t"], v["a"])
+    columns = ["N", "t", "a", "empirical_rate", "analytic_rate", "gap"]
+    write_csv(os.path.join(out_dir, "pw_rate.csv"), columns,
+              [[r[c] for c in columns] for r in rows])
     print(f"pw-rate: final gap {rows[-1]['gap']:+.6f} at N={rows[-1]['N']}")
     return 0
 
@@ -362,12 +395,16 @@ def cmd_scan_bad(v, out_dir, workers):
         raise ConfigError(f"T_grid: every horizon must be > 0, got {T_grid}")
     if not all(-1.0 <= m <= 1.0 for m in mT_grid):
         raise ConfigError(f"mT_grid: every endpoint must lie in [-1, 1], got {mT_grid}")
-    result = bd.badness_scan(
+    cells = bd.badness_scan(
         kind, params, T_grid, mT_grid, epsilon=v["epsilon"], delta=v["delta"],
         opts=bd.SolverOpts(**v["solver"]), master_seed=v["seed"], workers=workers,
-        csv_path=os.path.join(out_dir, "scan_bad.csv"),
     )
-    print(f"scan-bad: {result.bad_count()} bad cells of {len(result.cells)}")
+    write_csv(os.path.join(out_dir, "scan_bad.csv"),
+              ["T", "mT", "n_minimizers", "gamma0_list", "cost", "bad", "label",
+               "d_nature", "d_nurture", "error"],
+              [[c.T, c.mT, c.n_minimizers, c.gamma0_list, c.cost, int(c.bad), c.label,
+                c.d_nature, c.d_nurture, c.error] for c in cells])
+    print(f"scan-bad: {sum(c.bad for c in cells)} bad cells of {len(cells)}")
     return 0
 
 

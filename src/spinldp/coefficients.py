@@ -35,13 +35,10 @@ def _canon_offsets(offsets, dim: int):
 
 
 def _reduce_mod(offsets, side: int):
-    """Centered representatives modulo side, with parity cancellation."""
+    """Centered representatives modulo side; CoefficientMap.build's
+    _canon_offsets then sorts them and cancels repeated sites."""
     half = (side - 1) // 2
-    reduced = [tuple(((x + half) % side) - half for x in o) for o in offsets]
-    counts: dict[tuple, int] = {}
-    for o in reduced:
-        counts[o] = counts.get(o, 0) + 1
-    return tuple(sorted(o for o, cnt in counts.items() if cnt % 2 == 1))
+    return tuple(tuple(((x + half) % side) - half for x in o) for o in offsets)
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,6 @@ window.
 from __future__ import annotations
 
 import itertools
-import math
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -27,7 +25,6 @@ from .coefficients import (
     evaluate_translations,
 )
 from .seeding import child_seed, ordered_map, rng_from
-from .errors import ConfigError
 from . import kernels
 
 __all__ = [
@@ -141,49 +138,6 @@ class LocalRateSpec:
         rng = rng_from(seed)
         w = len(_window_offsets(dim, radius))
         return LocalRateSpec(dim, radius, rng.uniform(lo, hi, size=2**w))
-
-    def to_dict(self) -> dict:
-        offs = self.offsets
-        out = {}
-        for code, rate in enumerate(self.table):
-            pat = "".join("+" if (code >> k) & 1 else "-" for k in range(len(offs)))
-            out[pat] = float(rate)
-        return {"dim": self.dim, "radius": self.radius, "rates": out}
-
-    @staticmethod
-    def from_dict(d: dict) -> "LocalRateSpec":
-        """Inverse of to_dict; raises ConfigError unless every window pattern has a rate."""
-        try:
-            dim, radius, rates = int(d["dim"]), int(d["radius"]), dict(d["rates"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"rates: need integer dim and radius and a rates object ({exc!r})") from exc
-        if dim not in (1, 2) or radius < 0:
-            raise ConfigError(f"rates: need dim 1 or 2 and radius >= 0, got dim={dim}, radius={radius}")
-        w = len(_window_offsets(dim, radius))
-        table = np.full(2**w, np.nan)
-        for pat, rate in rates.items():
-            if len(pat) != w or set(pat) - {"+", "-"}:
-                raise ConfigError(f"rates: pattern {pat!r} is not {w} characters of '+'/'-'")
-            # float() would run JSON true as 1.0 and "2.5" as 2.5
-            if isinstance(rate, bool) or not isinstance(rate, numbers.Real):
-                raise ConfigError(f"rates: rate {rate!r} of pattern {pat!r} is not a number")
-            try:
-                value = float(rate)
-            except OverflowError as exc:
-                raise ConfigError(f"rates: rate {rate!r} of pattern {pat!r} is not finite") from exc
-            # NaN marks a missing pattern in table, so a NaN rate is caught here
-            if not math.isfinite(value):
-                raise ConfigError(f"rates: rate {rate!r} of pattern {pat!r} is not finite")
-            table[sum(1 << k for k, ch in enumerate(pat) if ch == "+")] = value
-        missing = np.flatnonzero(np.isnan(table))
-        if len(missing):
-            pats = ["".join("+" if (c >> k) & 1 else "-" for k in range(w)) for c in missing[:4]]
-            raise ConfigError(f"rates: {len(missing)} of {len(table)} window patterns have no rate, "
-                              f"e.g. {pats}")
-        try:
-            return LocalRateSpec(dim, radius, table)
-        except ValueError as exc:
-            raise ConfigError(f"rates: {exc}") from exc
 
     def rates_for(self, config: SpinConfiguration) -> np.ndarray:
         """Rate at every site: c(tau_i s), flattened."""

@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 import numpy as np
 
-from .seeding import rng_from
 from .errors import PathLeavesDomain
 
 __all__ = [
@@ -36,13 +35,10 @@ __all__ = [
     "mag_exact_log_prob",
     "mag_constrained_pressure",
     "mag_endpoint_rate",
-    "mag_mc_pressure",
     "mag_model",
 ]
 
 _LOG_FACT_CACHE = np.zeros(1)
-# mag_mc_pressure's number of bootstrap resamples.
-_BOOTSTRAP = 200
 
 
 def _log_factorials(n: int) -> np.ndarray:
@@ -328,33 +324,6 @@ def mag_endpoint_rate(m0, mT: float, T: float):
     limit = -0.5 * ((1.0 + m0_along) * np.log1p(s) + (1.0 - m0_along) * np.log1p(-s)) + math.log(2.0)
     val = np.where(edge | (abs(mT) == 1.0), limit, val)
     return float(val) if val.ndim == 0 else val
-
-
-def mag_mc_pressure(N: int, m0: float, t: float, lam: float, replicas: int, seed):
-    """Monte Carlo estimate of (1/N) log E[e^{lam sum_i s_i(t)}] with bootstrap SE.
-
-    The dynamics marginal is sampled exactly: each spin's flip count over
-    [0, t] is Poisson(t) and its parity decides the sign at time t.  Returns
-    (estimate, bootstrap standard error of the estimate).
-    """
-    n_up = int(round((1.0 + m0) * N / 2.0))
-    rng = rng_from(seed)
-    flips = rng.poisson(t, size=(replicas, N))
-    signs = np.where(flips % 2 == 0, 1.0, -1.0)
-    signs[:, n_up:] *= -1.0  # spins n_up..N-1 start down
-    s_tot = signs.sum(axis=1)
-    # average e^{lam S} stably: factor out the max exponent
-    expo = lam * s_tot
-    top = np.max(expo)
-    est = (top + math.log(np.mean(np.exp(expo - top)))) / N
-
-    boots = np.empty(_BOOTSTRAP)
-    for b in range(_BOOTSTRAP):
-        idx = rng.integers(0, replicas, size=replicas)
-        e = expo[idx]
-        tp = np.max(e)
-        boots[b] = (tp + math.log(np.mean(np.exp(e - tp)))) / N
-    return float(est), float(np.std(boots, ddof=1))
 
 
 def mag_value_and_partials(m, q):

@@ -20,7 +20,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import SeriesNotConverged
-from .io_utils import write_csv
 
 __all__ = [
     "PoissonWalkParams",
@@ -106,7 +105,6 @@ def pw_rate_convergence(
     N_list: Sequence[int],
     t: float,
     a: float,
-    csv_path=None,
 ) -> list[dict]:
     """Table of empirical vs analytic decay rates.
 
@@ -128,12 +126,6 @@ def pw_rate_convergence(
                 "analytic_rate": analytic,
                 "gap": emp - analytic,
             }
-        )
-    if csv_path is not None:
-        write_csv(
-            csv_path,
-            ["N", "t", "a", "empirical_rate", "analytic_rate", "gap"],
-            [[r[c] for c in ("N", "t", "a", "empirical_rate", "analytic_rate", "gap")] for r in rows],
         )
     return rows
 

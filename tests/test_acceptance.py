@@ -47,6 +47,6 @@ def test_criterion_12_determinism(tmp_path, capsys):
     assert outputs["a"] == outputs["b"] == outputs["c"]
     # and the bytes themselves: every verdict and detail of the reduced battery
     assert hashlib.sha256(outputs["a"]).hexdigest() == (
-        "a4cc6c23251529ffa2a92151f2e73dfa026a4b15749b8270cc1ca6b3e46845e2")
+        "5f6888a6980ec260e901c0a3c9e40eec21949588e5c1992bf93490d87bc37ba0")
     print("PASS 12 determinism: byte-identical verify outputs at workers 1 and 2 "
           "across repeated runs")

@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -6,8 +7,8 @@ import pytest
 from scipy.optimize import minimize_scalar
 
 from spinldp import verification as vf
+from spinldp import cli
 from spinldp.badness import (
-    BadnessScanResult,
     ScanCell,
     SolverOpts,
     badness_scan,
@@ -50,7 +51,7 @@ def test_branch_endpoint_past_the_domain_is_a_cell_error():
     # the level-0 branch endpoints at +-1.5, outside [-1, 1]
     opts = SolverOpts(min_steps=60, max_iter=400)
     (cell,) = badness_scan("double_well", (1.5,), [1.0], [0.0], epsilon=0.1, delta=1.5,
-                           opts=opts, master_seed=3).cells
+                           opts=opts, master_seed=3)
     assert cell.error == "PathLeavesDomain"
     assert math.isnan(cell.cost) and not cell.bad
 
@@ -167,9 +168,8 @@ def test_scan_records_and_determinism():
     res2 = badness_scan("bernoulli", (0.5,), T_grid, mT_grid, epsilon=0.1, delta=0.05,
                         opts=opts, master_seed=5, workers=3)
     assert res1 == res2
-    assert len(res1.cells) == 9
-    assert res1.bad_count() == 0
-    for cell in res1.cells:
+    assert len(res1) == 9
+    for cell in res1:
         assert cell.n_minimizers >= 1
         assert cell.error == ""
         if cell.n_minimizers == 1:
@@ -178,16 +178,16 @@ def test_scan_records_and_determinism():
 
 
 def test_scan_empty_grid():
-    res = badness_scan("bernoulli", (0.5,), [], [], epsilon=0.1, delta=0.05, master_seed=1)
-    assert res.cells == ()
-    assert res.bad_count() == 0
+    assert badness_scan("bernoulli", (0.5,), [], [], epsilon=0.1, delta=0.05, master_seed=1) == ()
 
 
-def test_scan_csv_schema(tmp_path):
-    out = tmp_path / "scan.csv"
-    badness_scan("double_well", (1.5,), [3.0], [0.0], epsilon=0.1, delta=0.05, master_seed=2,
-                 csv_path=out)
-    lines = out.read_text().strip().split("\n")
+def test_scan_csv_schema(tmp_path, capsys):
+    cfg = tmp_path / "scan.json"
+    cfg.write_text(json.dumps({"seed": 2, "rate_function": {"kind": "double_well", "params": [1.5]},
+                               "T_grid": [3.0], "mT_grid": [0.0]}))
+    assert cli.main(["scan-bad", str(cfg), "--out-dir", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().out == "scan-bad: 1 bad cells of 1\n"
+    lines = (tmp_path / "o" / "scan_bad.csv").read_text().strip().split("\n")
     assert lines[0] == "T,mT,n_minimizers,gamma0_list,cost,bad,label,d_nature,d_nurture,error"
     cell = lines[1].split(",")
     assert cell[2] == "2"  # two minimizers
@@ -271,10 +271,9 @@ def test_criterion_10_without_branch_selections_fails_its_branch_check(monkeypat
     # a last column cell with fewer than two minimizers, or an error, carries
     # no branch selection: the check reads False instead of raising
     def scan(kind, params, T_grid, mT_grid, **kwargs):
-        cells = tuple(ScanCell(T=float(T), mT=float(m), n_minimizers=1, gamma0_list=(0.0,),
-                               cost=0.0, bad=False, label="nurture", d_nature=1.0, d_nurture=0.0)
-                      for T in T_grid for m in mT_grid)
-        return BadnessScanResult(kind, tuple(params), cells)
+        return tuple(ScanCell(T=float(T), mT=float(m), n_minimizers=1, gamma0_list=(0.0,),
+                              cost=0.0, bad=False, label="nurture", d_nature=1.0, d_nurture=0.0)
+                     for T in T_grid for m in mT_grid)
 
     monkeypatch.setattr(vf.bd, "badness_scan", scan)
     res = vf.criterion_10({**vf.DEFAULTS, "c10_T_points": 2, "c10_scan_points": 2})

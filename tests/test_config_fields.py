@@ -24,13 +24,14 @@ TABLE_RATES = {"kind": "table", "dim": 1, "radius": 0, "rates": {"+": 1.0, "-": 
 SCAN = {"seed": 1, "rate_function": {"kind": "bernoulli", "params": [0.5]},
         "T_grid": {"start": 0.1, "stop": 1.0, "num": 2}, "mT_grid": [0.0]}
 
+FD = {"D": [[-2.0, 2.0], [2.0, -2.0]], "c": [1.0, 1.0], "mu": [0.75, 0.25], "alpha": [0.0, 0.0]}
+
 # one valid config per command, and one per table a field's value selects
 BASES = {
     "pw-rate": [{"b": 2.0, "d": 1.0, "t": 1.0, "a": 1.0, "N_list": [50, 100]}],
     "mag-rate": [{"seed": 7, "m0": 0.5, "mT": 0.0, "T": 0.5, "N_list": [200]}],
     "mag-bvp": [{"m0": 0.5, "mT": 0.0, "T": 1.0}],
-    "fd-lagrangian": [{"D": [[-2.0, 2.0], [2.0, -2.0]], "c": [1.0, 1.0],
-                       "mu": [0.75, 0.25], "alpha": [0.0, 0.0]}],
+    "fd-lagrangian": [FD],
     "scan-bad": [SCAN],
     "lattice-sim": [
         {**LATTICE, "rates": {"kind": "constant", "dim": 1, "value": 1.0}},
@@ -182,6 +183,19 @@ def test_every_declared_field_rejects_a_bad_value(tmp_path, capsys, command, cfg
     # an empty grid list
     ("scan-bad", {**SCAN, "T_grid": []}, "T_grid:"),
     ("scan-bad", {**SCAN, "mT_grid": []}, "mT_grid:"),
+    # numeric strings and bools in arrays and rate-function params are not coerced
+    ("fd-lagrangian", {**FD, "D": [[-2.0, "2.0"], [2.0, -2.0]]}, "D:"),
+    ("fd-lagrangian", {**FD, "c": [True, 1.0]}, "c:"),
+    ("scan-bad", {**SCAN, "rate_function": {"kind": "bernoulli", "params": ["0.5"]}},
+     "rate_function.params:"),
+    ("scan-bad", {**SCAN, "rate_function": {"kind": "double_well", "params": ["1.5"]}},
+     "rate_function.params:"),
+    ("scan-bad", {**SCAN, "rate_function": {"kind": "tabulated",
+                                            "params": [["-1.0", 0.0, 1.0], [1.0, 0.0, 1.0]]}},
+     "rate_function.params:"),
+    ("scan-bad", {**SCAN, "rate_function": {"kind": "tabulated",
+                                            "params": [[-1.0, 0.0, 1.0], [True, 0.0, True]]}},
+     "rate_function.params:"),
 ])
 def test_config_that_ran_on_a_default_exits_2(tmp_path, capsys, command, cfg, named):
     code, err, made_out_dir = _run(tmp_path, capsys, command, cfg)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from spinldp import cli
 from spinldp.coefficients import CoefficientMap
 from spinldp.lattice import (
     LocalRateSpec,
@@ -33,8 +34,14 @@ def test_configuration_text_round_trip():
 def test_rate_spec_validation_and_json():
     with pytest.raises(ValueError):
         LocalRateSpec(1, 0, np.array([1.0, 0.0]))
+    # a table written as {pattern: rate}, bit k of a code the k-th character,
+    # reads back through lattice-sim's table kind
     spec = LocalRateSpec.random_table(1, 1, seed=5)
-    back = LocalRateSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
+    w = len(spec.offsets)
+    rates = {"".join("+" if (code >> k) & 1 else "-" for k in range(w)): float(rate)
+             for code, rate in enumerate(spec.table)}
+    cfg = {"kind": "table", "dim": 1, "radius": 1, "rates": rates}
+    back = cli._rates(json.loads(json.dumps(cfg)), "rates")
     assert np.array_equal(spec.table, back.table)
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
+from spinldp import verification as vf
 from spinldp.duality import duality_gap
 from spinldp.errors import PathLeavesDomain
 from spinldp.magnetization import (
@@ -20,12 +21,12 @@ from spinldp.magnetization import (
     mag_hamiltonian,
     mag_hamiltonian_dp,
     mag_lagrangian,
-    mag_mc_pressure,
     mag_model,
     mag_momentum,
     mag_value_and_partials,
 )
 from spinldp.poisson_walk import PoissonWalkParams, pw_model
+from spinldp.seeding import rng_from
 
 
 def test_hamiltonian_basics():
@@ -310,13 +311,22 @@ def test_constrained_pressure_time_derivative_is_hamiltonian():
             assert abs(fd - mag_hamiltonian(m, lam)) <= 1e-6
 
 
-def test_mc_pressure_within_bootstrap_errors():
-    est, se = mag_mc_pressure(100, 0.5, 0.5, 0.2, 4000, seed=5)
-    closed = mag_constrained_pressure(0.2, 0.5, 0.5)
-    assert abs(est - closed) <= 3.0 * se
-    # deterministic given the seed
-    est2, se2 = mag_mc_pressure(100, 0.5, 0.5, 0.2, 4000, seed=5)
-    assert est == est2 and se == se2
+class _BiasedSampler:
+    """A generator whose flip counts are Poisson(1.05 t) instead of Poisson(t)."""
+
+    def __init__(self, rng):
+        self._rng = rng
+
+    def poisson(self, lam, size):
+        return self._rng.poisson(1.05 * lam, size)
+
+
+@pytest.mark.parametrize("seed", [vf.DEFAULTS["seed"], 0, 1, 2])
+def test_criterion_9_fails_for_a_biased_sampler(monkeypatch, seed):
+    monkeypatch.setattr(vf, "rng_from", lambda s: _BiasedSampler(rng_from(s)))
+    res = vf.criterion_9({**vf.DEFAULTS, "seed": seed})
+    assert not res.passed
+    assert float(res.detail.split("|z| ")[1].split()[0]) > 3.0
 
 
 def test_oracle_rate_decreases_toward_action():

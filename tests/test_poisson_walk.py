@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from spinldp import cli
 from spinldp.duality import duality_gap
 from spinldp.poisson_walk import (
     PoissonWalkParams,
@@ -122,9 +124,11 @@ def test_rate_convergence_table():
         assert abs(r["empirical_rate"]) <= 1.5 * math.log(r["N"]) / r["N"]
 
 
-def test_rate_convergence_csv(tmp_path):
-    out = tmp_path / "pw.csv"
-    pw_rate_convergence(PoissonWalkParams(2.0, 1.0, 1), [50, 100], 1.0, 0.5, csv_path=out)
-    lines = out.read_text().strip().split("\n")
+def test_rate_convergence_csv(tmp_path, capsys):
+    cfg = tmp_path / "pw.json"
+    cfg.write_text(json.dumps({"b": 2.0, "d": 1.0, "t": 1.0, "a": 0.5, "N_list": [50, 100]}))
+    assert cli.main(["pw-rate", str(cfg), "--out-dir", str(tmp_path / "o")]) == 0
+    lines = (tmp_path / "o" / "pw_rate.csv").read_text().strip().split("\n")
     assert lines[0] == "N,t,a,empirical_rate,analytic_rate,gap"
-    assert len(lines) == 3
+    rows = pw_rate_convergence(PoissonWalkParams(2.0, 1.0, 1), [50, 100], 1.0, 0.5)
+    assert [line.split(",")[3] for line in lines[1:]] == [repr(r["empirical_rate"]) for r in rows]

@@ -17,7 +17,7 @@ from spinldp import cli
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "spinldp"
 
-SETTABLE_VALUES = 54
+SETTABLE_VALUES = 52
 CONFIG_FIELDS = 83
 
 
