@@ -10,7 +10,10 @@ file byte for byte, at any worker count.
 Each command's fields, kinds, ranges and defaults are declared once, in its
 table FIELDS[name]; an unknown key or a bad value exits 2 before any output
 is written.  The library modules return values: every output file is
-written here, and every config is parsed here.
+written here, every config is parsed here, and every line is printed here.
+`verify` is the one acceptance runner: it runs the criteria a config names
+(the generator identity suite is configs/lattice_check.json, criteria 5
+and 6) and prints each verdict as it finishes.
 
 Exit codes: 0 success, 1 runtime error (the module error name is printed),
 2 config validation failure (with a field diagnostic).
@@ -32,6 +35,7 @@ from . import lattice as lat
 from . import magnetization as mag
 from . import poisson_walk as pw
 from . import trajectory as tr
+from . import verification as vf
 from .errors import ConfigError, SpinLDPError
 from .io_utils import write_csv, write_json
 from .seeding import child_seed
@@ -217,6 +221,7 @@ def _observables(v, where):
 
 # lattice-sim's rates: one table per kind
 _RADIUS = _number(lo=0, count=True)
+_MAX_WINDOW = 20  # sites: a 2^20-rate, 8 MB table (radius <= 9 in 1-d, <= 1 in 2-d)
 _RATES = {
     "constant": {"kind": (_text, REQUIRED), "dim": (_DIM, REQUIRED),
                  "value": (_number(lo=1e-12), REQUIRED), "radius": (_RADIUS, 0)},
@@ -235,11 +240,15 @@ def _rates(spec, where):
     if not isinstance(kind, str) or kind not in _RATES:
         raise ConfigError(f"{where}.kind: expected one of {', '.join(_RATES)}, got {kind!r}")
     r = _fields(spec, _RATES[kind], where + ".")
+    # every kind tabulates one rate per window pattern: 2^w of them
+    w = (2 * r["radius"] + 1) ** r["dim"]
+    if w > _MAX_WINDOW:
+        raise ConfigError(f"{where}.radius: a window of (2*{r['radius']}+1)^{r['dim']} = {w} "
+                          f"sites needs 2^{w} rates; at most {_MAX_WINDOW} sites")
     if kind == "constant":
         return lat.LocalRateSpec.constant(r["value"], r["dim"], r["radius"])
     if kind == "random":
         return lat.LocalRateSpec.random_table(r["dim"], r["radius"], r["seed"], r["lo"], r["hi"])
-    w = (2 * r["radius"] + 1) ** r["dim"]
     table = np.full(2**w, np.nan)
     for pat, rate in r["rates"].items():
         if len(pat) != w or set(pat) - {"+", "-"}:
@@ -262,19 +271,26 @@ def _rates(spec, where):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-# verify's overrides of verification.DEFAULTS (all but the seed)
+def _criteria(v, where):
+    """verify's criterion indices, run in increasing order; [] runs them all."""
+    bad = [i for i in _list(v, where) if type(i) is not int or i not in vf.CRITERIA]
+    if bad:
+        raise ConfigError(f"{where}: unknown indices {bad} (valid {sorted(vf.CRITERIA)})")
+    return sorted(v or vf.CRITERIA)
+
+
+# verify's sizes of the criteria, defaulting to verification.DEFAULTS
 _TWO = _number(lo=2, count=True)  # a standard error, a first and a last T
-_VERIFY_FIELDS = {
-    "c2_samples": (_COUNT, None), "c3_N_list": (_n_list, None), "c5_instances": (_COUNT, None),
-    "c6_sides": (_sides, None), "c7_models": (_COUNT, None), "c9_replicas": (_TWO, None),
-    "c10_T_points": (_TWO, None), "c10_scan_points": (_COUNT, None),
-    "c11_replicas": (_TWO, None), "c11_side": (_odd_side, None),
-}
+_VERIFY_FIELDS = {f: (kind, vf.DEFAULTS[f]) for f, kind in {
+    "c2_samples": _COUNT, "c3_N_list": _n_list, "c5_instances": _COUNT, "c6_sides": _sides,
+    "c7_models": _COUNT, "c9_replicas": _TWO, "c10_T_points": _TWO, "c10_scan_points": _COUNT,
+    "c11_replicas": _TWO, "c11_side": _odd_side,
+}.items()}
 _OUT_DIR = (_path, "out")
 
 # Each command's fields {field: (kind, default)}; a None default leaves the
-# value to the command or to verification.DEFAULTS.  --seed writes seed into
-# any config, so every command declares it.
+# value to the command.  --seed writes seed into any config, so every
+# command declares it.
 FIELDS = {
     "pw-rate": {"b": (_number(lo=1e-12), REQUIRED), "d": (_number(lo=0.0), REQUIRED),
                 "t": (_number(lo=1e-12), REQUIRED), "a": (_number(), REQUIRED),
@@ -301,10 +317,8 @@ FIELDS = {
                     "side": (_odd_side, REQUIRED), "rates": (_rates, REQUIRED),
                     "times": (_grid, REQUIRED), "replicas": (_COUNT, REQUIRED),
                     "observables": (_observables, REQUIRED), "out_dir": _OUT_DIR},
-    "lattice-check": {"seed": (_seed, REQUIRED), "instances": _VERIFY_FIELDS["c5_instances"],
-                      "sides": _VERIFY_FIELDS["c6_sides"], "out_dir": _OUT_DIR},
-    "verify": {"seed": (_seed, None), "criteria": (_list, None), **_VERIFY_FIELDS,
-               "out_dir": _OUT_DIR},
+    "verify": {"seed": (_seed, vf.DEFAULTS["seed"]), "criteria": (_criteria, []),
+               **_VERIFY_FIELDS, "out_dir": _OUT_DIR},
 }
 
 
@@ -438,34 +452,12 @@ def cmd_lattice_sim(v, out_dir, workers):
     return 0
 
 
-@command("lattice-check")
-def cmd_lattice_check(v, out_dir, workers):
-    from .verification import criterion_5, criterion_6, DEFAULTS
-
-    overrides = {"seed": v["seed"], "c5_instances": v["instances"], "c6_sides": v["sides"]}
-    merged = {**DEFAULTS, **{k: x for k, x in overrides.items() if x is not None}}
-    r5 = criterion_5(merged)
-    r6 = criterion_6(merged)
-    out = {
-        "identity": {"passed": r5.passed, "detail": r5.detail},
-        "finite_size_scaling": {"passed": r6.passed, "detail": r6.detail},
-    }
-    write_json(os.path.join(out_dir, "lattice_check.json"), out)
-    print(f"lattice-check: identity {'PASS' if r5.passed else 'FAIL'}; "
-          f"scaling {'PASS' if r6.passed else 'FAIL'}")
-    return 0 if (r5.passed and r6.passed) else 1
-
-
 @command("verify")
 def cmd_verify(v, out_dir, workers):
-    from .verification import CRITERIA, run_criteria
-
-    indices = v.pop("criteria")
-    bad = [i for i in indices or () if type(i) is not int or i not in CRITERIA]
-    if bad:
-        raise ConfigError(f"criteria: unknown indices {bad} (valid {sorted(CRITERIA)})")
-    results = run_criteria(indices, {k: x for k, x in v.items() if x is not None},
-                           workers=workers)
+    results = []
+    for index in v.pop("criteria"):
+        results.append(vf.CRITERIA[index](v, workers=workers))
+        print(results[-1].line())
     write_csv(os.path.join(out_dir, "verify_summary.csv"),
               ["index", "name", "passed", "detail"],
               [[r.index, r.name, int(r.passed), r.detail] for r in results])

@@ -8,6 +8,7 @@ Built-ins:
   * double_well(beta), beta > 1: the symmetric entropy minus a quadratic,
     shifted so the two wells +-m_beta (solving arctanh(m) = beta m) sit at
     height 0.  A mean-field stand-in for a low-temperature starting phase.
+    beta is at most 14.162095, where m_beta reaches 1 - 1e-12.
     m_beta comes from _brentq, a transcription of SciPy's brentq at its
     default tolerances that returns the same float bit for bit, so the
     module needs no SciPy import.
@@ -37,10 +38,6 @@ class RateFunctionSpec:
     evaluator: Callable
     derivative: Optional[Callable]
     minimizers: tuple[float, ...]
-    params: tuple = ()
-
-    def __call__(self, m):
-        return self.evaluator(m)
 
 
 # scipy.optimize.brentq's defaults: the step tolerance is
@@ -158,13 +155,19 @@ def bernoulli_rate(y: float) -> RateFunctionSpec:
             return _elementwise(dv, m)
         return _arctanh_clipped(float(m)) - ath_y
 
-    return RateFunctionSpec("bernoulli", ev, dv, (y,), params=(y,))
+    return RateFunctionSpec("bernoulli", ev, dv, (y,))
 
 
 def double_well_rate(beta: float) -> RateFunctionSpec:
     if not beta > 1.0:
         raise ValueError("double well needs beta > 1")
-    m_beta = _brentq(lambda m: math.atanh(m) - beta * m, 1e-12, 1.0 - 1e-12)
+    well = lambda m: math.atanh(m) - beta * m
+    # past beta = atanh(1 - 1e-12) / (1 - 1e-12) the wells lie within 1e-12
+    # of +-1, outside Brent's bracket
+    if well(1.0 - 1e-12) < 0:
+        raise ValueError(f"double well needs 1 < beta <= "
+                         f"{math.atanh(1.0 - 1e-12) / (1.0 - 1e-12):.6f}, got {beta}")
+    m_beta = _brentq(well, 1e-12, 1.0 - 1e-12)
     shift = _kl_scalar(m_beta, 0.5, 0.5) - 0.5 * beta * m_beta * m_beta
 
     def ev(m):
@@ -181,7 +184,7 @@ def double_well_rate(beta: float) -> RateFunctionSpec:
         m = float(m)
         return _arctanh_clipped(m) - beta * m
 
-    return RateFunctionSpec("double_well", ev, dv, (-m_beta, m_beta), params=(beta,))
+    return RateFunctionSpec("double_well", ev, dv, (-m_beta, m_beta))
 
 
 def tabulated_rate(grid, values) -> RateFunctionSpec:

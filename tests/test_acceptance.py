@@ -28,8 +28,7 @@ def run_criterion(index):
 @pytest.mark.parametrize("index", sorted(CRITERIA))
 def test_criterion(index):
     res = run_criterion(index)
-    print(f"{'PASS' if res.passed else 'FAIL'} {res.index:2d} {res.name}: "
-          f"{res.detail} [{res.elapsed:.1f}s]")
+    print(res.line())
     assert res.passed, f"criterion {res.index} ({res.name}): {res.detail}"
 
 

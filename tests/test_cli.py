@@ -9,9 +9,8 @@ import pytest
 
 from spinldp import cli
 from spinldp.cli import main
-from spinldp.errors import ConfigError
 from spinldp.magnetization import mag_exact_log_prob
-from spinldp.verification import DEFAULTS, criterion_6
+from spinldp.verification import DEFAULTS
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "src"))
@@ -157,12 +156,12 @@ def test_lattice_sim_even_side_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("sides", [[4], [11, 20], [1], [11], [11, 11]])
-def test_lattice_check_bad_sides_exit_2(tmp_path, capsys, sides):
+def test_verify_bad_c6_sides_exit_2(tmp_path, capsys, sides):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"seed": 5, "instances": 2, "sides": sides}))
-    assert run(["lattice-check", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
-    assert "sides:" in capsys.readouterr().err
-    assert not (tmp_path / "o" / "lattice_check.json").exists()
+    cfg.write_text(json.dumps({"seed": 5, "criteria": [5, 6], "c5_instances": 2, "c6_sides": sides}))
+    assert run(["verify", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
+    assert "c6_sides:" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "verify_summary.csv").exists()
 
 
 @pytest.mark.parametrize("table", [
@@ -181,12 +180,6 @@ def test_lattice_sim_bad_rate_table_exits_2(tmp_path, capsys, table):
     }))
     assert run(["lattice-sim", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
     assert "rates:" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("sides", [[11], [11, 11]])
-def test_criterion_6_needs_two_distinct_sides(sides):
-    with pytest.raises(ConfigError, match="c6_sides:"):
-        criterion_6({"c6_sides": sides})
 
 
 def test_unconverged_series_exits_1_with_error_name(tmp_path, capsys, monkeypatch):
@@ -307,6 +300,9 @@ LATTICE = {"seed": 3, "dim": 1, "side": 21, "times": [0.5], "replicas": 2,
     ("scan-bad", {**SCAN, "rate_function": {"kind": "tabulated",
                                             "params": [[-1.0, 0.0, 1.0], [1.0, math.nan, 1.0]]}},
      "params: tabulated"),
+    # the wells of a double well past beta 14.162095 lie within 1e-12 of +-1
+    ("scan-bad", {**SCAN, "rate_function": {"kind": "double_well", "params": [20.0]}},
+     "rate_function.params: double_well: double well needs 1 < beta <= 14.162095, got 20.0"),
 ])
 def test_invalid_config_value_exits_2(tmp_path, capsys, command, cfg, field):
     path = tmp_path / "cfg.json"
@@ -365,7 +361,7 @@ def test_verify_checks_every_default_override():
     ("lattice-sim", {**LATTICE, "dim": 1.5}, "dim:"),
     ("lattice-sim", {**LATTICE, "rates": {"kind": "constant", "dim": 1, "value": 1.0,
                                           "radius": 0.5}}, "rates.radius:"),
-    ("lattice-check", {"seed": 5, "instances": 2.5}, "instances:"),
+    ("verify", {"seed": 5, "criteria": [5], "c5_instances": 2.5}, "c5_instances:"),
 ])
 def test_non_integral_count_exits_2(tmp_path, capsys, command, cfg, field):
     path = tmp_path / "cfg.json"
@@ -409,7 +405,7 @@ def test_integral_float_count_is_accepted(tmp_path, capsys):
 
 @pytest.mark.parametrize("command, cfg", [
     ("mag-rate", {**MAG_RATE, "N_list": [100]}), ("lattice-sim", LATTICE),
-    ("lattice-check", {}), ("verify", {"criteria": [2]}),
+    ("verify", {"criteria": [5, 6]}), ("verify", {"criteria": [2]}),
 ])
 def test_negative_seed_flag_exits_2(tmp_path, capsys, command, cfg):
     path = tmp_path / "cfg.json"

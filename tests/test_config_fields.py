@@ -38,7 +38,6 @@ BASES = {
         {**LATTICE, "rates": TABLE_RATES},
         {**LATTICE, "rates": {"kind": "random", "dim": 1, "radius": 1, "seed": 2}},
     ],
-    "lattice-check": [{"seed": 5, "instances": 2, "sides": [11, 21]}],
     "verify": [{"seed": 1, "criteria": [2], "c2_samples": 10, "c3_N_list": [50, 100],
                 "c5_instances": 2, "c6_sides": [11, 21], "c7_models": 2, "c9_replicas": 10,
                 "c10_T_points": 2, "c10_scan_points": 1, "c11_replicas": 2, "c11_side": 21}],
@@ -124,6 +123,12 @@ def _cases():
 
 CASES = list(_cases())
 
+# Case ids are numbered in order.  Numbers 289-301 belonged to the cases of the
+# deleted lattice-check command, which came just before verify's; verify's cases
+# skip them so that each keeps the id it had.
+RETIRED_IDS = 13
+CASE_IDS = [f"{c}-{f}-{i + RETIRED_IDS * (c == 'verify')}" for i, (c, _, f) in enumerate(CASES)]
+
 
 def _run(tmp_path, capsys, command, cfg):
     path = tmp_path / "cfg.json"
@@ -146,8 +151,7 @@ def test_bases_reach_every_table():
     assert not missed, f"no base config reaches the tables with fields {missed}"
 
 
-@pytest.mark.parametrize("command, cfg, field", CASES,
-                         ids=[f"{c}-{f}-{i}" for i, (c, _, f) in enumerate(CASES)])
+@pytest.mark.parametrize("command, cfg, field", CASES, ids=CASE_IDS)
 def test_every_declared_field_rejects_a_bad_value(tmp_path, capsys, command, cfg, field):
     code, err, made_out_dir = _run(tmp_path, capsys, command, cfg)
     assert code == 2
@@ -164,7 +168,8 @@ def test_every_declared_field_rejects_a_bad_value(tmp_path, capsys, command, cfg
     ("scan-bad", {**SCAN, "rate_function": {"kind": "bernoulli", "params": [0.5], "parms": [0.3]}},
      "rate_function.parms:"),
     ("verify", {"seed": 1, "criteria": [2], "c2_samples": 10, "c5_instance": 3}, "c5_instance:"),
-    ("lattice-check", {"seed": 5, "instance": 2, "sides": [11, 21]}, "instance:"),
+    ("verify", {"seed": 5, "criteria": [5, 6], "c5_instances": 2, "c6_side": [11, 21]},
+     "c6_side:"),
     ("mag-bvp", {"m0": 0.5, "mT": 0.0, "T": 1.0, "step": 200}, "step:"),
     ("lattice-sim", {**LATTICE, "rates": {"kind": "random", "dim": 1, "radius": 1, "seed": 2,
                                           "low": 0.5}}, "rates.low:"),
@@ -196,9 +201,25 @@ def test_every_declared_field_rejects_a_bad_value(tmp_path, capsys, command, cfg
     ("scan-bad", {**SCAN, "rate_function": {"kind": "tabulated",
                                             "params": [[-1.0, 0.0, 1.0], [True, 0.0, True]]}},
      "rate_function.params:"),
+    # a window of more than 20 sites, w = (2r+1)^d: a table of 2^w rates (2^441 here)
+    ("lattice-sim", {**LATTICE, "dim": 2, "side": 21, "observables": [[[0, 0]]],
+                     "rates": {"kind": "constant", "dim": 2, "value": 1.0, "radius": 10}},
+     "rates.radius:"),
+    ("lattice-sim", {**LATTICE, "rates": {"kind": "constant", "dim": 1, "value": 1.0,
+                                          "radius": 10}}, "rates.radius:"),
+    ("lattice-sim", {**LATTICE, "rates": {"kind": "random", "dim": 1, "radius": 10, "seed": 2}},
+     "rates.radius:"),
+    ("lattice-sim", {**LATTICE, "rates": {**TABLE_RATES, "radius": 10, "rates": {}}},
+     "rates.radius:"),
 ])
 def test_config_that_ran_on_a_default_exits_2(tmp_path, capsys, command, cfg, named):
     code, err, made_out_dir = _run(tmp_path, capsys, command, cfg)
     assert code == 2
     assert named in err
     assert not made_out_dir
+
+
+@pytest.mark.parametrize("dim, radius", [(1, 9), (2, 1)])
+def test_largest_window_is_accepted(dim, radius):
+    spec = cli._rates({"kind": "constant", "dim": dim, "value": 1.0, "radius": radius}, "rates")
+    assert (spec.dim, spec.radius) == (dim, radius)

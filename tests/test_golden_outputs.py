@@ -113,9 +113,10 @@ def test_criterion_7_values_golden_hex(monkeypatch):
 
 
 # sha256 of every file the shipped configs write, run in-process through
-# cli.main: all configs but `verify`, whose full battery takes minutes
+# cli.main: all configs but `verify.json`, whose full battery takes minutes
 # (`verify_small` is pinned in test_acceptance's criterion 12), and the
-# double-well scan once more at two workers.
+# double-well scan once more at two workers.  `lattice_check` is verify
+# with criteria 5 and 6.
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 SHIPPED = {
     ("pw-rate", "pw_rate", 1): {
@@ -131,8 +132,8 @@ SHIPPED = {
         "lattice_events.csv": "92e9feb96694f18b5416bdcb5b629e6456eb053cad93d7d6422f5cd0c816380a",
         "lattice_final.txt": "33b81aac56a6a6f25dbd15fabf3349020266681b07e8cc6e66c7337183845744",
         "lattice_moments.csv": "63f9e6237476450ea31faeef456a830db5e06279676b142f50e7743c5d8df210"},
-    ("lattice-check", "lattice_check", 1): {
-        "lattice_check.json": "def4cc02507e33af778ace4dda424c1ad94557911cfcecb7894862df37b0f45e"},
+    ("verify", "lattice_check", 1): {
+        "verify_summary.csv": "0133a7af2f53cb5abe9144d46fdf91f63cbdea07134d61d199b2d63698389c96"},
     ("scan-bad", "scan_bad_bernoulli", 1): {
         "scan_bad.csv": "dd9a44ebab34d644e97bb70eb77f4a29d74fb886e04850fcab2ca6d68a13efaf"},
     ("scan-bad", "scan_bad_double_well", 1): {

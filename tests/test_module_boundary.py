@@ -1,8 +1,9 @@
-"""The library computes; the CLI alone writes files and rejects configs.
+"""The library computes; the CLI alone writes files, prints and rejects configs.
 
-Library functions return values, and `spinldp.cli` writes every output file
-and parses every config, so a file format or a config format has one owner.
-This reads the sources of src/spinldp without importing them.
+Library functions return values, and `spinldp.cli` writes every output file,
+prints every line and parses every config, so a file format, a console
+format or a config format has one owner.  This reads the sources of
+src/spinldp without importing them.
 """
 
 import ast
@@ -25,6 +26,15 @@ def imported_names(path: Path) -> set:
     return found
 
 
+def calls_print(path: Path) -> bool:
+    return any(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+               and node.func.id == "print" for node in ast.walk(ast.parse(path.read_text())))
+
+
+# every module but cli and errors, which defines ConfigError
+LIBRARY = sorted(p for p in SRC.rglob("*.py") if p.stem not in ("cli", "errors"))
+
+
 def test_imported_names_sees_relative_and_from_imports(tmp_path):
     probe = tmp_path / "probe.py"
     probe.write_text("from .io_utils import write_csv\nfrom . import errors\n"
@@ -37,6 +47,18 @@ def test_only_cli_imports_the_writers():
     assert importers == ["cli"]
 
 
+def test_calls_print_sees_calls_not_names_or_strings(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("def f(x):\n    return [print(x)]\n")
+    assert calls_print(probe)
+    probe.write_text("pprint = print\nx = 'print(1)'\n")
+    assert not calls_print(probe)
+
+
 def test_library_modules_raise_no_config_error():
-    for module in ("lattice", "badness", "poisson_walk"):
-        assert "ConfigError" not in imported_names(SRC / f"{module}.py"), module
+    importers = [p.stem for p in LIBRARY if "ConfigError" in imported_names(p)]
+    assert importers == []
+
+
+def test_library_modules_print_nothing():
+    assert [p.stem for p in LIBRARY if calls_print(p)] == []

@@ -97,7 +97,8 @@ def test_tabulated_grid_and_values_must_be_finite(grid, values):
 
 
 # SciPy judges the transcription; tests may load it, spinldp's import path may not
-BETAS = [*np.linspace(1.0, 10.0, 2001)[1:].tolist(), 1.25, 1.5, 2.0, 3.0]
+# and 14.162, just below the largest beta double_well_rate takes (14.162095)
+BETAS = [*np.linspace(1.0, 10.0, 2001)[1:].tolist(), 1.25, 1.5, 2.0, 3.0, 14.162]
 
 
 def test_double_well_wells_equal_scipy_brentq_bit_for_bit():

@@ -17,8 +17,8 @@ from spinldp import cli
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "spinldp"
 
-SETTABLE_VALUES = 52
-CONFIG_FIELDS = 83
+SETTABLE_VALUES = 47
+CONFIG_FIELDS = 79
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
