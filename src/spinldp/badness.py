@@ -1,17 +1,15 @@
-"""Bad endpoints: non-unique optimal histories of the conditioned dynamics.
+"""Bad endpoints: optimal histories that jump with the conditioning.
 
 Given a static initial rate function I and an endpoint (mT, T), the total
 cost of a history starting at m' is I(m') + K_T(m', mT) with K_T the
-fixed-endpoint action infimum.  M* is the set of minimizing start points.
-An endpoint is bad when M* has at least two elements and tiny endpoint
-perturbations mT +- delta 2^-n select single minimizers converging to two
-distinct elements of M*: the scalar transcription of approximating-sequence
-badness detection, with the start magnetization playing the conditioned
-observable.  M* comes from one open-start CG solve of the discretized
-action (optimal_initials); is_bad and nature_nurture_classify take it from
-their caller and never solve again.  The branch selections read K_T's
-closed form (mag_endpoint_rate) on a grid of starts, so bad endpoints are
-read off the value function rather than re-solved.
+fixed-endpoint action infimum.  An endpoint is bad when the optimal start,
+given the end, is discontinuous there: the selections at mT + delta 2^-n
+and mT - delta 2^-n stay apart as n grows instead of closing in.  is_bad
+reads the selections off K_T's closed form (mag_endpoint_rate) on a grid
+of starts and decides from them alone.  M*, the set of minimizing starts
+at mT itself, comes from one open-start CG solve of the discretized action
+(optimal_initials); it is evidence for the scan's CSV and the input of
+nature_nurture_classify, never of a verdict.
 
 Nature/nurture: a minimizer is "nature" when its start is closer to the
 zero-cost preimage of the endpoint (pay the static cost, ride the drift)
@@ -55,6 +53,10 @@ __all__ = [
 # as the argmin of I + K_T over the starts _M_GRID.
 _N_LEVELS = 5
 _M_GRID = np.linspace(-1.0, 1.0, 4001)
+# is_bad's gap g_n between its two selections shrinks by a factor 1/2 per level
+# where the selection is continuous, and by 2^(-1/5) = 0.871 where it is steepest
+# (it grows like mT^(1/5) at beta = 3/2, T = log(3)/4); across a jump it stays.
+_JUMP_RATIO = 0.9
 # nature_nurture_classify's tie band, relative to the anchor separation.
 _DEAD_BAND = 0.10
 
@@ -138,50 +140,30 @@ def _branch_start(total: np.ndarray) -> float:
     return float(_M_GRID[i])
 
 
-def is_bad(I: RateFunctionSpec, mT: float, T: float, minimizers, epsilon: float, delta: float):
-    """Two-sided branch-selection detector.
+def is_bad(I: RateFunctionSpec, mT: float, T: float, epsilon: float, delta: float):
+    """Refinement-ladder detector of a jump in the optimal start.
 
-    minimizers is M*(mT), the caller's optimal_initials(I, mT, T) (CG); it
-    is read, never re-solved.  At the perturbed endpoints
-    e = mT + delta 2^-n and mT - delta 2^-n, n = 0.._N_LEVELS-1, the
-    selected start is the global minimizer of m' -> I(m') + K_T(m', e),
-    with K_T the closed-form continuum endpoint rate mag_endpoint_rate: the
-    argmin over the fixed grid _M_GRID, refined by a three-point parabola.
-    I is evaluated once, on that grid.  The selections are recorded in
-    diagnostics["plus_branch"] and ["minus_branch"]; they differ from an
-    open-start CG solve at e by the discretization error of its action,
-    O(dt).  Only the last level enters the verdict: True iff M* has >= 2
-    elements, the two last-level selections are nearest to two distinct
-    elements of M*, and they are more than epsilon apart.  The earlier
-    levels are not checked for convergence.  An endpoint outside [-1, 1]
-    raises PathLeavesDomain.  Always returns (flag, diagnostics).
+    At the perturbed endpoints e = mT + delta 2^-n and mT - delta 2^-n,
+    n = 0.._N_LEVELS-1, the selected start is the global minimizer of
+    m' -> I(m') + K_T(m', e), with K_T the closed-form continuum endpoint
+    rate mag_endpoint_rate: the argmin over the fixed grid _M_GRID, refined
+    by a three-point parabola.  I is evaluated once, on that grid.  The
+    selections are recorded in diagnostics["plus_branch"] and
+    ["minus_branch"], and their gaps g_n = |plus_n - minus_n| in ["gaps"].
+    A continuous selection halves g_n at each level; a jump keeps it.  So
+    the endpoint is bad iff the last gap exceeds epsilon and shrank by less
+    than _JUMP_RATIO over the last level.  An endpoint outside [-1, 1]
+    raises PathLeavesDomain.  Returns (flag, diagnostics).
     """
-    diag = {
-        "n_minimizers": len(minimizers),
-        "gamma0": [m.gamma0 for m in minimizers],
-        "plus_branch": [],
-        "minus_branch": [],
-    }
-    if len(minimizers) < 2:
-        return False, diag
-
     static = np.asarray(I.evaluator(_M_GRID), dtype=float)
+    diag = {"plus_branch": [], "minus_branch": []}
     for n in range(_N_LEVELS):
         for sign, key in ((+1.0, "plus_branch"), (-1.0, "minus_branch")):
             end = mT + sign * (delta * 2.0**-n)
             diag[key].append(_branch_start(static + mag_endpoint_rate(_M_GRID, end, T)))
-
-    g_star = np.array([m.gamma0 for m in minimizers])
-    plus = diag["plus_branch"][-1]
-    minus = diag["minus_branch"][-1]
-    near_plus = int(np.argmin(np.abs(g_star - plus)))
-    near_minus = int(np.argmin(np.abs(g_star - minus)))
-    separated = abs(plus - minus) > epsilon
-    distinct = near_plus != near_minus
-    flag = bool(separated and distinct)
-    diag["selected"] = (float(g_star[near_plus]), float(g_star[near_minus]))
-    diag["separation"] = abs(plus - minus)
-    return flag, diag
+    gaps = [abs(p - m) for p, m in zip(diag["plus_branch"], diag["minus_branch"])]
+    diag["gaps"] = gaps
+    return bool(gaps[-1] > epsilon and gaps[-1] > _JUMP_RATIO * gaps[-2]), diag
 
 
 def nature_nurture_classify(I: RateFunctionSpec, mT: float, T: float, minimizers):
@@ -224,7 +206,7 @@ class ScanCell:
     label: str
     d_nature: float
     d_nurture: float
-    branch_selection: tuple = ()  # (plus-selected gamma0, minus-selected gamma0)
+    branch_selection: tuple = ()  # is_bad's last (plus, minus) selections; () in an error cell
     error: str = ""
 
 
@@ -233,19 +215,16 @@ def _scan_cell(args):
     I = rate_function_from_descriptor(kind, params)
     opts = replace(opts, seed=child_seed(master_seed, index))
     try:
+        bad, diag = is_bad(I, mT, T, epsilon, delta)
         mins = optimal_initials(I, mT, T, opts=opts)
-        bad, diag = is_bad(I, mT, T, mins, epsilon, delta)
         label, records = nature_nurture_classify(I, mT, T, mins)
         best = records[0]
-        branches = ()
-        if diag["plus_branch"]:
-            branches = (diag["plus_branch"][-1], diag["minus_branch"][-1])
         cell = ScanCell(
             T=T, mT=mT, n_minimizers=len(mins),
             gamma0_list=tuple(m.gamma0 for m in mins),
             cost=mins[0].value, bad=bad, label=label,
             d_nature=best[2], d_nurture=best[3],
-            branch_selection=branches,
+            branch_selection=(diag["plus_branch"][-1], diag["minus_branch"][-1]),
         )
     except SpinLDPError as exc:
         cell = ScanCell(

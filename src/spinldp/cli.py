@@ -272,10 +272,13 @@ def _rates(spec, where):
 
 
 def _criteria(v, where):
-    """verify's criterion indices, run in increasing order; [] runs them all."""
+    """verify's criterion indices, each at most once, run in increasing order;
+    [] runs them all."""
     bad = [i for i in _list(v, where) if type(i) is not int or i not in vf.CRITERIA]
     if bad:
         raise ConfigError(f"{where}: unknown indices {bad} (valid {sorted(vf.CRITERIA)})")
+    if len(set(v)) < len(v):
+        raise ConfigError(f"{where}: an index is repeated in {v}")
     return sorted(v or vf.CRITERIA)
 
 
@@ -407,8 +410,9 @@ def cmd_scan_bad(v, out_dir, workers):
     T_grid, mT_grid = v["T_grid"], v["mT_grid"]
     if not all(T > 0 for T in T_grid):
         raise ConfigError(f"T_grid: every horizon must be > 0, got {T_grid}")
-    if not all(-1.0 <= m <= 1.0 for m in mT_grid):
-        raise ConfigError(f"mT_grid: every endpoint must lie in [-1, 1], got {mT_grid}")
+    if not all(abs(m) + v["delta"] <= 1.0 for m in mT_grid):
+        raise ConfigError(f"mT_grid: every |mT| + delta must be <= 1, so that is_bad's endpoints "
+                          f"lie in [-1, 1]; got {mT_grid} with delta {v['delta']}")
     cells = bd.badness_scan(
         kind, params, T_grid, mT_grid, epsilon=v["epsilon"], delta=v["delta"],
         opts=bd.SolverOpts(**v["solver"]), master_seed=v["seed"], workers=workers,

@@ -258,7 +258,7 @@ def criterion_10(cfg, workers=1):
     flags = [c.bad for c in column]
     crossings = sum(1 for a, b in zip(flags, flags[1:]) if a != b)
     column_ok = (not flags[0]) and flags[-1] and crossings == 1
-    # (plus, minus) last-level selections at T = 3; () for |M*| < 2 or an error
+    # (plus, minus) last-level selections at T = 3; () for an error cell
     branches = column[-1].branch_selection
     branch_ok = len(branches) == 2 and branches[0] > 0 > branches[1]
 

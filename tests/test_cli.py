@@ -230,7 +230,7 @@ def test_verify_subset_cli(tmp_path, capsys):
 
 def test_verify_rejects_unknown_criteria(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    for criteria in ([2, 99], ["x"], 3):
+    for criteria in ([2, 99], ["x"], 3, [2, 2]):
         cfg.write_text(json.dumps({"seed": 1, "criteria": criteria}))
         assert run(["verify", str(cfg), "--out-dir", str(tmp_path / "o")]) == 2
         assert "criteria:" in capsys.readouterr().err
@@ -303,6 +303,8 @@ LATTICE = {"seed": 3, "dim": 1, "side": 21, "times": [0.5], "replicas": 2,
     # the wells of a double well past beta 14.162095 lie within 1e-12 of +-1
     ("scan-bad", {**SCAN, "rate_function": {"kind": "double_well", "params": [20.0]}},
      "rate_function.params: double_well: double well needs 1 < beta <= 14.162095, got 20.0"),
+    # is_bad judges every cell at mT +- delta, so |mT| + delta must not pass 1
+    ("scan-bad", {**SCAN, "mT_grid": [0.98]}, "mT_grid:"),
 ])
 def test_invalid_config_value_exits_2(tmp_path, capsys, command, cfg, field):
     path = tmp_path / "cfg.json"

@@ -47,8 +47,12 @@ GOLDEN = {
         "bad": False,
         "gamma0": ["0x1.10eac3a53c234p-1"],
         "value": ["0x1.d98b52380321bp-8"],
-        "plus_branch": [],
-        "minus_branch": [],
+        # recorded when is_bad began to judge every cell: the selections close
+        # in on the start 0.5330 from both sides, their gap halving per level
+        "plus_branch": ["0x1.1847b38bfca0dp-1", "0x1.149ff1c3509b9p-1", "0x1.12cc1057a5cccp-1",
+                        "0x1.11e21ebd6e906p-1", "0x1.116d264fbebe4p-1"],
+        "minus_branch": ["0x1.09a8a8dbfeab1p-1", "0x1.0d506b35243c6p-1", "0x1.0f244cb1f97b4p-1",
+                         "0x1.100e3db3f1367p-1", "0x1.108336fc8685bp-1"],
     },
 }
 
@@ -58,7 +62,7 @@ def test_is_bad_golden_hex(cell):
     g = GOLDEN[cell]
     rate = g["rate"]()
     mins = optimal_initials(rate, g["mT"], g["T"], opts=OPTS)
-    flag, diag = is_bad(rate, g["mT"], g["T"], mins, epsilon=0.1, delta=0.05)
+    flag, diag = is_bad(rate, g["mT"], g["T"], epsilon=0.1, delta=0.05)
     assert flag is g["bad"]
     assert [m.gamma0.hex() for m in mins] == g["gamma0"]
     assert [float(m.value).hex() for m in mins] == g["value"]
