@@ -1,14 +1,16 @@
 """Finite-dimensional Lagrangian of a rate-modified jump model.
 
-A JumpModel is (D, c, mu): an n x n matrix with zero row sums, positive
-rates, and a strictly positive probability vector.  The cost of a flux
+A JumpModel is (D, c, mu), all finite: an n x n matrix with zero row sums,
+positive rates, and a strictly positive probability vector.  The cost of a flux
 alpha is evaluated three ways:
 
   * variational: sup_f [ <f, alpha> - sum_i c_i mu_i (e^{(Df)_i} - 1) ],
     the defining supremum (ground truth);
   * dual: min over nonnegative nu with D^T nu = alpha of the unnormalized
     relative entropy sum_i [nu_i log(nu_i/(c_i mu_i)) - nu_i + c_i mu_i],
-    the Fenchel dual (production evaluator, also yields the minimizer);
+    the Fenchel dual (production evaluator, also yields the minimizer),
+    solved by one infeasible-start Newton solve of its KKT system, which
+    raises Infeasible only on a Farkas certificate;
   * mass-constrained closed form: sum_i nu_i log(nu_i/(c_i mu_i)) for the
     unique nonnegative nu with sum C_mu = sum_i c_i mu_i and D^T nu = alpha.
 
@@ -48,12 +50,12 @@ class JumpModel:
     mu: np.ndarray
 
     def __post_init__(self):
-        D = np.asarray(self.D, dtype=float)
-        c = np.asarray(self.c, dtype=float)
-        mu = np.asarray(self.mu, dtype=float)
-        object.__setattr__(self, "D", D)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "mu", mu)
+        for name in ("D", "c", "mu"):
+            x = np.asarray(getattr(self, name), dtype=float)
+            if not np.all(np.isfinite(x)):
+                raise ValueError(f"{name} must be finite")
+            object.__setattr__(self, name, x)
+        D, c, mu = self.D, self.c, self.mu
         n = D.shape[0]
         if D.shape != (n, n):
             raise ValueError("D must be square")
@@ -79,13 +81,11 @@ class JumpModel:
         return float(self.weights.sum())
 
 
-def _range_basis(D: np.ndarray):
-    """Orthonormal bases: columns spanning range(D^T) and ker(D^T)."""
-    u, s, vt = np.linalg.svd(D)
+def _range_basis(D: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning range(D^T), the row space of D."""
+    _, s, vt = np.linalg.svd(D)
     rank = int(np.sum(s > _RANK_TOL * max(1.0, s[0] if len(s) else 1.0)))
-    range_dt = vt[:rank].T          # row space of D
-    ker_dt = u[:, rank:]            # left null space: D^T u = 0 columns
-    return range_dt, ker_dt
+    return vt[:rank].T
 
 
 def fj_lagrangian_variational(model: JumpModel, alpha) -> float:
@@ -107,7 +107,7 @@ def fj_lagrangian_variational(model: JumpModel, alpha) -> float:
     if resid > 1e-10 * (1.0 + np.linalg.norm(alpha)):
         raise NotInRange(f"alpha has range(D^T) residual {resid:.3e}")
 
-    V, _ = _range_basis(D)
+    V = _range_basis(D)
     if V.shape[1] == 0:
         return 0.0
     DV = D @ V
@@ -143,82 +143,81 @@ def fj_lagrangian_variational(model: JumpModel, alpha) -> float:
     return float(a_red @ z - np.sum(w * np.exp(DV @ z) - w))
 
 
+def _certifies_infeasible(D: np.ndarray, alpha: np.ndarray, z: np.ndarray) -> bool:
+    """Strict Farkas test, up to round-off: D z >= 0 and alpha.z <= 0, not
+    both zero.  Any nu > 0 with D^T nu = alpha would give alpha.z = nu.(D z),
+    which is > 0 if D z >= 0 is nonzero, so such a z proves there is none."""
+    Dz, az = D @ z, float(alpha @ z)
+    tol = _NEWTON_TOL * np.linalg.norm(z) * (np.max(np.abs(D)) + np.linalg.norm(alpha))
+    return bool(Dz.min() >= -tol and az <= tol and (Dz.max() > tol or az < -tol))
+
+
 def fj_lagrangian_dual(model: JumpModel, alpha):
     """Fenchel dual: entropic minimization over the flux decomposition.
+    Returns (value, nu); never reads the variational maximizer.
 
-    Solved independently of the variational route: a strictly feasible
-    point comes from a Chebyshev-style LP, then damped Newton runs in the
-    kernel coordinates of D^T with positivity enforced by line search.
-    Returns (value, nu).
+    One infeasible-start Newton solve (Boyd-Vandenberghe, Convex
+    Optimization, 10.3) of the KKT system log(nu/w) + B y = 0, B^T nu =
+    V^T alpha, where V spans range(D^T) and B = D V keeps the independent
+    rows of D^T.  It starts at nu = w, y = 0, and each iteration is one r x r
+    solve.  Backtracking keeps nu > 0 and shrinks the KKT residual norm, its
+    stationarity part weighted by nu (the inverse Hessian) until that norm
+    is within tolerance and unweighted after.
 
-    Newton stops when the kernel gradient norm is at most _NEWTON_TOL times
-    (1 + C_mu), or when a step, after the positivity clamp, leaves nu
-    exactly unchanged (round-off: every later iteration would repeat it).
-    After _MAX_NEWTON_ITER iterations still moving it raises
-    SolverNotConverged.
+    It stops when the unweighted norm is at most _NEWTON_TOL times
+    (1 + |alpha|), or at round-off: a step leaves nu exactly unchanged, no
+    step shrinks the norm, or the r x r matrix is singular.  Then it raises
+    Infeasible if z = V y, V dy (the last multiplier step) or minus alpha's
+    part outside range(D^T) passes _certifies_infeasible, else
+    SolverNotConverged if |D^T nu - alpha| exceeds the tolerance or the
+    _MAX_NEWTON_ITER budget was spent.
     """
-    # imported here, not at module level: this LP is spinldp's only use of
-    # scipy.optimize, whose import costs most of a cold start
-    from scipy.optimize import linprog
-
     alpha = np.asarray(alpha, dtype=float)
-    w = model.weights
-    n = model.n
-    Dt = model.D.T
+    w, D = model.weights, model.D
+    V = _range_basis(D)
+    B, b = D @ V, V.T @ alpha
+    tol = _NEWTON_TOL * (1.0 + np.linalg.norm(alpha))
 
-    # max t subject to D^T nu = alpha, nu_i >= t; t is capped so the LP
-    # stays bounded on unbounded feasible rays (any interior point will do)
-    c_lp = np.zeros(n + 1)
-    c_lp[-1] = -1.0
-    A_eq = np.hstack([Dt, np.zeros((n, 1))])
-    A_ub = np.hstack([-np.eye(n), np.ones((n, 1))])
-    cap = max(1.0, float(np.max(np.abs(alpha))))
-    lp = linprog(
-        c_lp,
-        A_ub=A_ub,
-        b_ub=np.zeros(n),
-        A_eq=A_eq,
-        b_eq=alpha,
-        bounds=[(None, None)] * n + [(None, cap)],
-        method="highs",
-    )
-    if not lp.success or lp.x[-1] <= 0.0:
-        raise Infeasible("no strictly positive nu with D^T nu = alpha")
-    nu = lp.x[:n]
+    def residual(nu, y):
+        return np.log(nu / w) + B @ y, B.T @ nu - b
 
-    _, K = _range_basis(model.D)
-    if K.shape[1] == 0:
-        value = float(np.sum(nu * np.log(nu / w) - nu + w))
-        return value, nu
+    def norm(nu, y, weight):
+        r_dual, r_primal = residual(nu, y)
+        return np.hypot(np.linalg.norm(weight * r_dual), np.linalg.norm(r_primal))
 
-    def objective(v):
-        return float(np.sum(v * np.log(v / w) - v + w))
-
+    nu, y, dy = w.copy(), np.zeros(V.shape[1]), np.zeros(V.shape[1])
+    spent = False
     for _ in range(_MAX_NEWTON_ITER):
-        grad = K.T @ np.log(nu / w)
-        if np.linalg.norm(grad) <= _NEWTON_TOL * (1.0 + model.C_mu):
+        if norm(nu, y, 1.0) <= tol:
             break
-        H = K.T @ (K / nu[:, None])
+        r_dual, r_primal = residual(nu, y)
         try:
-            step = -np.linalg.solve(H, grad)
+            dy = np.linalg.solve(B.T @ (nu[:, None] * B), r_primal - B.T @ (nu * r_dual))
         except np.linalg.LinAlgError:
-            step = -grad
-        t = 1.0
-        f0 = objective(nu)
-        for _ in range(80):
-            nu_new = nu + t * (K @ step)
-            if np.all(nu_new > 0) and objective(nu_new) < f0 + 1e-4 * t * (grad @ step):
+            break
+        dnu = -nu * (r_dual + B @ dy)
+        # the weight is fixed during the search, so the step is a descent direction
+        weight = nu if norm(nu, y, nu) > tol else 1.0
+        r0, t = norm(nu, y, weight), 1.0
+        for _ in range(60):
+            nu_next, y_next = nu + t * dnu, y + t * dy
+            if np.all(nu_next > 0) and norm(nu_next, y_next, weight) <= (1.0 - 1e-2 * t) * r0:
                 break
             t *= 0.5
-        nu_next = nu + t * (K @ step)
-        if np.any(nu_next <= 0):
-            nu_next = np.maximum(nu_next, 1e-300)
+        else:
+            break
         if np.array_equal(nu_next, nu):
             break
-        nu = nu_next
+        nu, y = nu_next, y_next
     else:
+        spent = True
+    if any(_certifies_infeasible(D, alpha, z) for z in (V @ y, V @ dy, V @ b - alpha)):
+        raise Infeasible("no strictly positive nu with D^T nu = alpha")
+    if spent:
         raise SolverNotConverged(f"dual Newton still moving after {_MAX_NEWTON_ITER} iterations")
-    return objective(nu), nu
+    if np.linalg.norm(D.T @ nu - alpha) > tol:
+        raise SolverNotConverged("dual Newton stopped with D^T nu != alpha")
+    return float(np.sum(nu * np.log(nu / w) - nu + w)), nu
 
 
 def fj_paper_closed_form(model: JumpModel, alpha) -> float:

@@ -38,10 +38,10 @@ class PoissonWalkParams:
     N: int
 
     def __post_init__(self):
-        if not self.b > 0:
-            raise ValueError("forward rate b must be > 0")
-        if self.d < 0:
-            raise ValueError("backward rate d must be >= 0")
+        if not 0 < self.b < math.inf:
+            raise ValueError("forward rate b must be finite and > 0")
+        if not 0 <= self.d < math.inf:
+            raise ValueError("backward rate d must be finite and >= 0")
         if self.N < 1:
             raise ValueError("scale N must be >= 1")
 

@@ -46,6 +46,6 @@ def test_criterion_12_determinism(tmp_path, capsys):
     assert outputs["a"] == outputs["b"] == outputs["c"]
     # and the bytes themselves: every verdict and detail of the reduced battery
     assert hashlib.sha256(outputs["a"]).hexdigest() == (
-        "5f6888a6980ec260e901c0a3c9e40eec21949588e5c1992bf93490d87bc37ba0")
+        "7d6ba5a123a6171ae99fd632d37d9a0a224b42baba8c4c76da8f3599407d1dbe")
     print("PASS 12 determinism: byte-identical verify outputs at workers 1 and 2 "
           "across repeated runs")

@@ -40,6 +40,18 @@ def test_model_validation():
         JumpModel(D2, np.ones(2), np.array([0.7, 0.7]))
 
 
+@pytest.mark.parametrize("field, D, c, mu", [
+    ("D", [[math.nan, 0.0], [2.0, -2.0]], [1.0, 1.0], [0.5, 0.5]),
+    ("D", [[-math.inf, math.inf], [2.0, -2.0]], [1.0, 1.0], [0.5, 0.5]),
+    ("c", D2, [math.nan, 1.0], [0.5, 0.5]),
+    ("c", D2, [math.inf, 1.0], [0.5, 0.5]),
+    ("mu", D2, [1.0, 1.0], [math.nan, 0.5]),
+], ids=["D-nan", "D-inf", "c-nan", "c-inf", "mu-nan"])
+def test_model_rejects_non_finite_entries(field, D, c, mu):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        JumpModel(np.array(D), np.array(c), np.array(mu))
+
+
 def test_variational_stationary_case_zero():
     m = JumpModel(D2, np.ones(2), np.array([0.5, 0.5]))
     assert abs(fj_lagrangian_variational(m, np.zeros(2))) <= 1e-12
@@ -84,6 +96,32 @@ def test_dual_infeasible():
     # the mirror flux is fine
     val, nu = fj_lagrangian_dual(m, np.array([2.0, -2.0]))
     assert abs(nu[1] - 1.0) <= 1e-8
+
+
+@pytest.mark.parametrize("D, alpha", [
+    ([[0.0, 0.0], [2.0, -2.0]], (0.0, 0.0)),  # forces nu_2 = 0: feasible only on the boundary
+    ([[0.0, 0.0], [2.0, -2.0]], (1.0, 0.0)),  # outside range(D^T)
+    # forces nu_1 = -1 and leaves nu_3 free: the multiplier y does not
+    # certify this, its last Newton step does
+    ([[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [0.0, 0.0, 0.0]], (1.0, -2.0, 1.0)),
+], ids=["boundary", "off-range", "3-state"])
+def test_dual_raises_infeasible_without_a_strictly_positive_flux(D, alpha):
+    n = len(alpha)
+    m = JumpModel(np.array(D), np.ones(n), np.full(n, 1.0 / n))
+    with pytest.raises(Infeasible):
+        fj_lagrangian_dual(m, np.array(alpha))
+
+
+def test_dual_resolves_a_flux_component_far_below_round_off():
+    # nu* = w e^{-D z} with (D z)_1 = 40: nu*_1 = 2.1e-18 beside components of
+    # order 1, so it stays below the primal residual's round-off and only
+    # the stationarity condition fixes it
+    D = np.array([[-1.0, 1.0, 0.0], [0.1, -1.1, 1.0], [0.0, 1.0, -1.0]])
+    m = JumpModel(D, np.ones(3), np.array([0.5, 0.25, 0.25]))
+    nu_star = m.weights * np.exp(-D @ np.array([-40.0, 0.0, 0.0]))
+    value, nu = fj_lagrangian_dual(m, D.T @ nu_star)
+    assert np.allclose(nu, nu_star, rtol=1e-9, atol=0.0)
+    assert abs(value - fj_lagrangian_variational(m, D.T @ nu_star)) <= 1e-12
 
 
 def test_strong_duality_random_models():

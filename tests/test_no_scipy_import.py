@@ -1,10 +1,10 @@
-"""spinldp starts without SciPy.
+"""spinldp runs without SciPy.
 
-Importing scipy.optimize costs most of a cold start, so the one LP that
-needs it (fj_lagrangian_dual's strictly feasible start) imports it at its
-call.  This test imports every module the benchmark loads and builds the
-two built-in rate functions, then checks that no scipy module is loaded.
-It runs in a fresh interpreter: other tests load SciPy into this one.
+SciPy is a test dependency only.  This test runs a fresh interpreter (other
+tests load SciPy into this one) whose import system refuses every scipy
+module.  In it, it imports every module the benchmark loads, builds the two
+built-in rate functions, runs `fd-lagrangian` on its shipped config and
+runs criterion 7 (the Fenchel dual against the defining supremum).
 """
 
 import ast
@@ -19,34 +19,31 @@ CHILD = """
 import importlib, json, sys
 sys.path.insert(0, sys.argv[1])
 
-def scipy_modules():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-
-class FirstScipyImport:
-    # a finder that finds nothing: it notes the spinldp line that first asks for scipy
-    where = None
-
-    @classmethod
-    def find_spec(cls, name, path=None, target=None):
-        if cls.where is None and name.split(".")[0] == "scipy":
+class BlockScipy:
+    # a finder that refuses scipy, naming the spinldp line that asked for it
+    @staticmethod
+    def find_spec(name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
             f = sys._getframe(1)
             while f is not None and not f.f_globals.get("__name__", "").startswith("spinldp"):
                 f = f.f_back
-            cls.where = f"{f.f_globals['__name__']}:{f.f_lineno}" if f else "outside spinldp"
+            where = f"{f.f_globals['__name__']}:{f.f_lineno}" if f else "outside spinldp"
+            raise ImportError(f"scipy is blocked ({where} asked for {name})")
         return None
 
-sys.meta_path.insert(0, FirstScipyImport)
+sys.meta_path.insert(0, BlockScipy)
 
-steps = [(f"import spinldp.{m}", lambda m=m: importlib.import_module(f"spinldp.{m}"))
-         for m in json.loads(sys.argv[2])]
-steps += [("double_well_rate(1.5)", lambda: sys.modules["spinldp.rate_functions"].double_well_rate(1.5)),
-          ("bernoulli_rate(0.5)", lambda: sys.modules["spinldp.rate_functions"].bernoulli_rate(0.5))]
-culprit = None
-for name, step in steps:
-    step()
-    if culprit is None and scipy_modules():
-        culprit = f"{name} (at {FirstScipyImport.where})"
-print(json.dumps({"culprit": culprit, "scipy": scipy_modules(),
+modules, config, out_dir = json.loads(sys.argv[2]), sys.argv[3], sys.argv[4]
+for m in modules:
+    importlib.import_module(f"spinldp.{m}")
+rf = sys.modules["spinldp.rate_functions"]
+rf.double_well_rate(1.5)
+rf.bernoulli_rate(0.5)
+from spinldp import cli, verification
+code = cli.main(["fd-lagrangian", config, "--out-dir", out_dir])
+c7 = verification.criterion_7({"seed": 1, "c7_models": 8})
+print(json.dumps({"fd_lagrangian": code, "criterion_7": c7.passed,
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
                   "spinldp": sys.modules["spinldp"].__file__}))
 """
 
@@ -59,11 +56,16 @@ def _benchmark_modules():
     raise AssertionError("perfbench/run.py defines no MODULES")
 
 
-def test_benchmark_modules_and_rate_functions_load_no_scipy():
+def test_benchmark_modules_and_rate_functions_load_no_scipy(tmp_path):
     modules = _benchmark_modules()
     assert len(modules) == 11
-    out = subprocess.run([sys.executable, "-c", CHILD, str(ROOT / "src"), json.dumps(modules)],
-                         capture_output=True, text=True, check=True, timeout=120)
+    out = subprocess.run([sys.executable, "-c", CHILD, str(ROOT / "src"), json.dumps(modules),
+                          str(ROOT / "configs" / "fd_lagrangian.json"), str(tmp_path / "out")],
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr[-2000:]
     got = json.loads(out.stdout.splitlines()[-1])
     assert Path(got["spinldp"]).resolve().is_relative_to(ROOT / "src")
-    assert got["scipy"] == [], f"{got['culprit']} loaded SciPy: {got['scipy'][:5]}"
+    assert got["scipy"] == []
+    assert got["fd_lagrangian"] == 0
+    assert got["criterion_7"] is True
+    assert (tmp_path / "out" / "fd_lagrangian.json").is_file()

@@ -28,6 +28,12 @@ def test_params_validation():
         PoissonWalkParams(b=1.0, d=0.0, N=0)
 
 
+@pytest.mark.parametrize("b, d", [(1.0, math.nan), (1.0, math.inf), (math.inf, 1.0)])
+def test_params_reject_non_finite_rates(b, d):
+    with pytest.raises(ValueError, match="must be finite"):
+        PoissonWalkParams(b=b, d=d, N=10)
+
+
 def test_hamiltonian_values():
     assert pw_hamiltonian(0.0, P21) == 0.0
     p11 = PoissonWalkParams(1.0, 1.0, 1)
