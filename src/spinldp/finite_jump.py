@@ -5,7 +5,7 @@ positive rates, and a strictly positive probability vector.  The cost of a flux
 alpha is evaluated three ways:
 
   * variational: sup_f [ <f, alpha> - sum_i c_i mu_i (e^{(Df)_i} - 1) ],
-    the defining supremum (ground truth);
+    the defining supremum (ground truth), Infeasible where it is +inf;
   * dual: min over nonnegative nu with D^T nu = alpha of the unnormalized
     relative entropy sum_i [nu_i log(nu_i/(c_i mu_i)) - nu_i + c_i mu_i],
     the Fenchel dual (production evaluator, also yields the minimizer),
@@ -96,8 +96,9 @@ def fj_lagrangian_variational(model: JumpModel, alpha) -> float:
 
     Newton stops when the reduced gradient norm is at most _NEWTON_TOL times
     (1 + |alpha reduced|), or when a step leaves the iterate exactly
-    unchanged (round-off: every later iteration would repeat it).  After
-    _MAX_NEWTON_ITER iterations still moving it raises SolverNotConverged.
+    unchanged (round-off: every later iteration would repeat it).  Stopped
+    short, it raises Infeasible if -V z or -V step (its last step) passes the
+    strict _certifies_infeasible, else SolverNotConverged if _MAX_NEWTON_ITER ran out.
     """
     alpha = np.asarray(alpha, dtype=float)
     w = model.weights
@@ -113,12 +114,13 @@ def fj_lagrangian_variational(model: JumpModel, alpha) -> float:
     DV = D @ V
     a_red = V.T @ alpha
 
-    z = np.zeros(V.shape[1])
+    z = step = np.zeros(V.shape[1])
+    spent = False
     for _ in range(_MAX_NEWTON_ITER):
         e = w * np.exp(DV @ z)
         grad = a_red - DV.T @ e
         if np.linalg.norm(grad) <= _NEWTON_TOL * (1.0 + np.linalg.norm(a_red)):
-            break
+            return float(a_red @ z - np.sum(e - w))
         H = DV.T @ (e[:, None] * DV)
         try:
             step = np.linalg.solve(H, grad)
@@ -139,16 +141,23 @@ def fj_lagrangian_variational(model: JumpModel, alpha) -> float:
             break
         z = z_next
     else:
+        spent = True
+    if any(_certifies_infeasible(D, alpha, -V @ x, strict=True) for x in (z, step)):
+        raise Infeasible("the supremum is +inf: no nonnegative nu has D^T nu = alpha")
+    if spent:
         raise SolverNotConverged(f"variational Newton still moving after {_MAX_NEWTON_ITER} iterations")
     return float(a_red @ z - np.sum(w * np.exp(DV @ z) - w))
 
 
-def _certifies_infeasible(D: np.ndarray, alpha: np.ndarray, z: np.ndarray) -> bool:
-    """Strict Farkas test, up to round-off: D z >= 0 and alpha.z <= 0, not
-    both zero.  Any nu > 0 with D^T nu = alpha would give alpha.z = nu.(D z),
-    which is > 0 if D z >= 0 is nonzero, so such a z proves there is none."""
+def _certifies_infeasible(D: np.ndarray, alpha: np.ndarray, z: np.ndarray, *, strict: bool) -> bool:
+    """Farkas test, up to round-off: D z >= 0 and alpha.z <= 0, not both zero
+    (strict: alpha.z < 0).  Any nu > 0 with D^T nu = alpha would give alpha.z =
+    nu.(D z), which is > 0 if D z >= 0 is nonzero, so such a z proves there is none; a
+    strict z rules out nu >= 0 too, and the variational objective is unbounded along -z."""
     Dz, az = D @ z, float(alpha @ z)
     tol = _NEWTON_TOL * np.linalg.norm(z) * (np.max(np.abs(D)) + np.linalg.norm(alpha))
+    if strict:
+        return bool(Dz.min() >= -tol and az < -tol)
     return bool(Dz.min() >= -tol and az <= tol and (Dz.max() > tol or az < -tol))
 
 
@@ -211,7 +220,7 @@ def fj_lagrangian_dual(model: JumpModel, alpha):
         nu, y = nu_next, y_next
     else:
         spent = True
-    if any(_certifies_infeasible(D, alpha, z) for z in (V @ y, V @ dy, V @ b - alpha)):
+    if any(_certifies_infeasible(D, alpha, z, strict=False) for z in (V @ y, V @ dy, V @ b - alpha)):
         raise Infeasible("no strictly positive nu with D^T nu = alpha")
     if spent:
         raise SolverNotConverged(f"dual Newton still moving after {_MAX_NEWTON_ITER} iterations")

@@ -9,9 +9,8 @@ Built-ins:
     shifted so the two wells +-m_beta (solving arctanh(m) = beta m) sit at
     height 0.  A mean-field stand-in for a low-temperature starting phase.
     beta is at most 14.162095, where m_beta reaches 1 - 1e-12.
-    m_beta comes from _brentq, a transcription of SciPy's brentq at its
-    default tolerances that returns the same float bit for bit, so the
-    module needs no SciPy import.
+    m_beta comes from Newton on m = tanh(beta m), exact to round-off
+    (|m_beta - tanh(beta m_beta)| <= 3 ulp).
   * tabulated(grid, values): linear interpolation.
 
 bernoulli and double_well are defined once, on one float: float + - * /,
@@ -23,11 +22,12 @@ entry equals the float call bit for bit.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+
+from .errors import SolverNotConverged
 
 __all__ = ["RateFunctionSpec", "bernoulli_rate", "double_well_rate", "tabulated_rate"]
 
@@ -40,74 +40,24 @@ class RateFunctionSpec:
     minimizers: tuple[float, ...]
 
 
-# scipy.optimize.brentq's defaults: the step tolerance is
-# (_BRENT_XTOL + _BRENT_RTOL * |x|) / 2, within _BRENT_MAXITER iterations.
-_BRENT_XTOL = 2e-12
-_BRENT_RTOL = 4 * sys.float_info.epsilon
-_BRENT_MAXITER = 100
+# _well's step budget; beta = nextafter(1, 2) takes 44 steps, beta >= 1.0045 at most 10
+_WELL_MAX_ITER = 100
 
 
-def _brentq(f, xa: float, xb: float) -> float:
-    """A root of f in [xa, xb] by Brent's method (Brent 1973, ch. 4).
-
-    A line-for-line transcription of SciPy's C brentq
-    (scipy/optimize/Zeros/brentq.c) with its NaN check, so it returns
-    scipy.optimize.brentq(f, xa, xb) bit for bit.  Raises ValueError on a
-    NaN value or a bracket without a sign change, RuntimeError when
-    _BRENT_MAXITER iterations do not converge.
-    """
-
-    def fx(x):
-        v = f(x)
-        if math.isnan(v):
-            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
-        return v
-
-    xpre, xcur = xa, xb
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = fx(xpre), fx(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if (fpre < 0) == (fcur < 0):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(_BRENT_MAXITER):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (_BRENT_XTOL + _BRENT_RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                den = dblk * dpre * (fblk - fpre)
-                # C's x/0 is inf or NaN, and either fails the step test: bisect
-                stry = -fcur * (fblk * dblk - fpre * dpre) / den if den else math.inf
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = fx(xcur)
-    raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} iterations, value is {xcur}")
+def _well(beta: float) -> float:
+    """The root m_beta > 0 of g(m) = m - tanh(beta m), beta > 1, by Newton
+    from m = 1.  g is increasing and convex on [m_beta, 1], so the iterates
+    fall monotonically onto m_beta; the first step that does not decrease m
+    marks the round-off fixed point."""
+    m = 1.0
+    for _ in range(_WELL_MAX_ITER):
+        t = math.tanh(beta * m)
+        # g'(m) = 1 - beta sech^2(beta m), summed so it stays accurate as beta -> 1
+        step = (m - t) / (1.0 - beta + beta * t * t)
+        if not m - step < m:
+            return m
+        m -= step
+    raise SolverNotConverged(f"double-well Newton still moving after {_WELL_MAX_ITER} steps")
 
 
 def _elementwise(f, x):
@@ -159,15 +109,15 @@ def bernoulli_rate(y: float) -> RateFunctionSpec:
 
 
 def double_well_rate(beta: float) -> RateFunctionSpec:
+    """Wells +-m_beta from _well: Newton on m = tanh(beta m), exact to round-off."""
     if not beta > 1.0:
         raise ValueError("double well needs beta > 1")
-    well = lambda m: math.atanh(m) - beta * m
     # past beta = atanh(1 - 1e-12) / (1 - 1e-12) the wells lie within 1e-12
-    # of +-1, outside Brent's bracket
-    if well(1.0 - 1e-12) < 0:
+    # of +-1, where 1 - m keeps about four significant digits in a float
+    if math.atanh(1.0 - 1e-12) < beta * (1.0 - 1e-12):
         raise ValueError(f"double well needs 1 < beta <= "
                          f"{math.atanh(1.0 - 1e-12) / (1.0 - 1e-12):.6f}, got {beta}")
-    m_beta = _brentq(well, 1e-12, 1.0 - 1e-12)
+    m_beta = _well(beta)
     shift = _kl_scalar(m_beta, 0.5, 0.5) - 0.5 * beta * m_beta * m_beta
 
     def ev(m):

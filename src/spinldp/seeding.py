@@ -25,7 +25,7 @@ def derived_int(master, index: int) -> int:
 
 
 def ordered_map(fn, jobs: list, workers: int = 1) -> list:
-    """[fn(job) for job in jobs], spread over a fork pool when workers > 1.
+    """[fn(job) for job in jobs], over a fork pool of min(workers, len(jobs)) > 1 processes.
 
     Pool.map returns results in job order, so with jobs seeded by their
     index the result is the same at any worker count.  fn must be a
@@ -34,6 +34,6 @@ def ordered_map(fn, jobs: list, workers: int = 1) -> list:
     if workers > 1 and len(jobs) > 1:
         import multiprocessing as mp
 
-        with mp.get_context("fork").Pool(workers) as pool:
+        with mp.get_context("fork").Pool(min(workers, len(jobs))) as pool:
             return pool.map(fn, jobs)
     return [fn(job) for job in jobs]

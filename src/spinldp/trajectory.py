@@ -251,11 +251,11 @@ def _cg_minimize(x0, max_iter, gtol):
     return x, f
 
 
-def _lockstep(fun_grad, starts, tails, max_iter, gtol):
+def _lockstep(fun_grad, starts, max_iter, gtol):
     """One _cg_minimize per row of starts, all advanced in lockstep.
 
     Each round stacks the pending point of every live solver into one
-    (rows x nodes) array, makes one fun_grad(points, tails) call and sends
+    (rows x nodes) array, makes one fun_grad(points) call and sends
     each solver its row.  A solver's arithmetic only ever sees its own rows,
     so every result equals the solve of that row alone.  Returns the
     _cg_minimize results in row order.
@@ -265,7 +265,7 @@ def _lockstep(fun_grad, starts, tails, max_iter, gtol):
     results = [None] * len(solvers)
     live = list(range(len(solvers)))
     while live:
-        values, grads = fun_grad(np.array([points[i] for i in live]), tails[live])
+        values, grads = fun_grad(np.array([points[i] for i in live]))
         still = []
         for i, f, g in zip(live, values, grads):
             try:
@@ -363,10 +363,10 @@ def _start_profiles(model, start, mT, T, steps, rng):
     return out
 
 
-def _objective(value_and_partials, dt, head, rate):
-    """fun_grad(Z, tails) -> (values, gradients) over a batch of paths.
+def _objective(value_and_partials, dt, head, rate, end):
+    """fun_grad(Z) -> (values, gradients) over a batch of paths.
 
-    Row i is the path head + Z[i] + [tails[i]], and its value and gradient
+    Row i is the path head + Z[i] + [end], and its value and gradient
     over the free nodes Z[i] are those of that path alone.  A fixed start
     passes head = [m0], a pinned first node, and rate = None.  An open start
     passes an empty head, so each row starts with its free first node, whose
@@ -384,12 +384,12 @@ def _objective(value_and_partials, dt, head, rate):
     head = np.asarray(head, dtype=float)
     h = len(head)
 
-    def fun_grad(Z, tails):
+    def fun_grad(Z):
         rows = len(Z)
         full = np.empty((rows, h + Z.shape[1] + 1))
         full[:, :h] = head
         full[:, h:-1] = Z
-        full[:, -1] = tails
+        full[:, -1] = end
         x = full[:, :-1]
         integ, gx, gv = value_and_partials(x, (full[:, 1:] - x) / dt)
         ok = np.isfinite(integ).all(axis=1)
@@ -434,8 +434,8 @@ def _minimize(problem, steps, seed, max_iter, gtol):
         head, rate = [], start.rate_function
     profiles = _start_profiles(model, start, mT, T, steps, rng_from(seed))
     starts = [cand[len(head):-1] for cand in profiles]
-    fun_grad = _objective(model.value_and_partials, T / steps, head, rate)
-    results = _lockstep(fun_grad, starts, np.full(len(starts), float(mT)), max_iter, gtol)
+    fun_grad = _objective(model.value_and_partials, T / steps, head, rate, float(mT))
+    results = _lockstep(fun_grad, starts, max_iter, gtol)
     found = [(np.concatenate([head, res[0], [mT]]), res[1]) for res in results if res is not None]
     if not found:
         raise NoFeasiblePath("every start profile has infinite action")

@@ -112,6 +112,19 @@ def test_dual_raises_infeasible_without_a_strictly_positive_flux(D, alpha):
         fj_lagrangian_dual(m, np.array(alpha))
 
 
+@pytest.mark.parametrize("alpha, want", [
+    ((-2.0, 2.0), None),  # forces nu_2 = -1: the ascent runs off along a ray, sup = +inf
+    ((0.0, 0.0), 0.5),  # sup w_2 = 0.5 as f_1 - f_2 -> -inf, finite but not attained
+], ids=["unbounded", "unattained"])
+def test_variational_raises_infeasible_only_where_the_supremum_is_infinite(alpha, want):
+    m = JumpModel(np.array([[0.0, 0.0], [2.0, -2.0]]), np.ones(2), np.array([0.5, 0.5]))
+    if want is None:
+        with pytest.raises(Infeasible):
+            fj_lagrangian_variational(m, np.array(alpha))
+    else:
+        assert abs(fj_lagrangian_variational(m, np.array(alpha)) - want) <= 1e-9
+
+
 def test_dual_resolves_a_flux_component_far_below_round_off():
     # nu* = w e^{-D z} with (D z)_1 = 40: nu*_1 = 2.1e-18 beside components of
     # order 1, so it stays below the primal residual's round-off and only

@@ -30,8 +30,13 @@ GOLDEN = {
         "mT": 0.0,
         "T": 1.0,
         "bad": True,
-        "gamma0": ["-0x1.b4457c7c6fc9cp-1", "0x1.b4457b30b03c2p-1"],
-        "value": ["0x1.97a83db320ce0p-8", "0x1.97a83db320e91p-8"],
+        # re-recorded when the wells became Newton's root of m = tanh(beta m),
+        # exact to round-off: m_beta moved by 3.2e-13 (Brent had stopped
+        # inside its 2e-12 tolerance) and I's shift by 2.2e-16, so the CG
+        # solves end on other round-off minima, now listed + before -; the
+        # ten branch selections kept every bit
+        "gamma0": ["0x1.b4457b278d2c7p-1", "-0x1.b4457c7efc5f6p-1"],
+        "value": ["0x1.97a83db320a60p-8", "0x1.97a83db320bfcp-8"],
         # closed-form branch selections: each lies within 5e-7 of a bounded
         # Brent minimization of I + K_T, and within 6e-4, O(dt), of the CG
         # open-start solve at its endpoint
@@ -143,9 +148,9 @@ SHIPPED = {
     ("scan-bad", "scan_bad_bernoulli", 1): {
         "scan_bad.csv": "dd9a44ebab34d644e97bb70eb77f4a29d74fb886e04850fcab2ca6d68a13efaf"},
     ("scan-bad", "scan_bad_double_well", 1): {
-        "scan_bad.csv": "7fc62fe38cff7d92a6cc44d47e2f0dd6e2cafa9b49e04ed66718a364ec2c0ae0"},
+        "scan_bad.csv": "1843c4b9abdc7af2e9d61c0666f59b7273b63fb21ac8fb89f9bf5b37f23eb7a5"},
     ("scan-bad", "scan_bad_double_well", 2): {
-        "scan_bad.csv": "7fc62fe38cff7d92a6cc44d47e2f0dd6e2cafa9b49e04ed66718a364ec2c0ae0"},
+        "scan_bad.csv": "1843c4b9abdc7af2e9d61c0666f59b7273b63fb21ac8fb89f9bf5b37f23eb7a5"},
 }
 
 

@@ -1,7 +1,10 @@
+import multiprocessing
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from spinldp.seeding import child_seed, derived_int
+from spinldp.seeding import child_seed, derived_int, ordered_map
 
 
 def test_child_seed_is_a_function_of_master_and_index():
@@ -18,3 +21,26 @@ def test_child_seed_rejects_a_seed_sequence_master():
     # (master, index) would give a different stream on every call
     with pytest.raises(TypeError):
         child_seed(np.random.SeedSequence(5), 0)
+
+
+@pytest.mark.parametrize("workers, jobs, size", [(64, 8, 8), (3, 8, 3), (4, 1, None)])
+def test_ordered_map_opens_no_more_processes_than_jobs(monkeypatch, workers, jobs, size):
+    # a stand-in Pool that records its size and maps in this process
+    sizes = []
+
+    class Pool:
+        def __init__(self, n):
+            sizes.append(n)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(x) for x in items]
+
+    monkeypatch.setattr(multiprocessing, "get_context", lambda method: SimpleNamespace(Pool=Pool))
+    assert ordered_map(abs, list(range(-jobs, 0)), workers) == list(range(jobs, 0, -1))
+    assert sizes == ([] if size is None else [size])

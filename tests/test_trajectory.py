@@ -285,21 +285,21 @@ def _mixed_round_counter(model):
 
 
 def test_lockstep_rows_equal_solo_solves_beside_an_infinite_row():
-    # Paths pinned at the domain edge m0 = 1.  The last row's first free node
-    # lies above 1, an upward velocity at m = 1, so its point is +inf in the
-    # same batch as the finite points of the other rows.
+    # Paths pinned at the domain edge m0 = 1 and at the end 0.5, the rows
+    # starting from different profiles.  The last row's first free node lies
+    # above 1, an upward velocity at m = 1, so its point is +inf in the same
+    # batch as the finite points of the other rows.
     steps, T = 40, 1.0
     model, mixed = _mixed_round_counter(MODEL)
-    fun_grad = tr._objective(model.value_and_partials, T / steps, [1.0], None)
-    tails = np.array([0.5, 0.9, -0.3, 0.2])
-    starts = [np.linspace(1.0, mT, steps + 1)[1:-1] for mT in tails]
+    fun_grad = tr._objective(model.value_and_partials, T / steps, [1.0], None, 0.5)
+    starts = [np.linspace(1.0, m, steps + 1)[1:-1] for m in (0.5, 0.9, -0.3, 0.2)]
     starts[-1] = starts[-1] + 0.05
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        batch = tr._lockstep(fun_grad, starts, tails, 400, 1e-10)
+        batch = tr._lockstep(fun_grad, starts, 400, 1e-10)
         assert batch[-1] is None
         assert mixed[0] == 1
-        for i in range(len(tails) - 1):
-            (x, f), = tr._lockstep(fun_grad, [starts[i]], tails[[i]], 400, 1e-10)
+        for i in range(len(starts) - 1):
+            (x, f), = tr._lockstep(fun_grad, [starts[i]], 400, 1e-10)
             assert batch[i][0].tobytes() == x.tobytes()
             assert batch[i][1].hex() == f.hex()
