@@ -95,10 +95,16 @@ def fj_lagrangian_variational(model: JumpModel, alpha) -> float:
     supremum is +inf.
 
     Newton stops when the reduced gradient norm is at most _NEWTON_TOL times
-    (1 + |alpha reduced|), or when a step leaves the iterate exactly
-    unchanged (round-off: every later iteration would repeat it).  Stopped
-    short, it raises Infeasible if -V z or -V step (its last step) passes the
-    strict _certifies_infeasible, else SolverNotConverged if _MAX_NEWTON_ITER ran out.
+    (1 + |alpha reduced|), when a step leaves the iterate exactly unchanged
+    (round-off: every later iteration would repeat it), or at the first
+    non-finite iterate (an entry, or the norm that scales the certificate,
+    overflowed or is NaN), which it never evaluates.  Stopped there, it
+    raises Infeasible if -V (z_k - z_k-1), the difference of the last two
+    finite iterates, passes the strict _certifies_infeasible, else
+    SolverNotConverged.  Stopped short otherwise, it raises Infeasible if -V z
+    or -V step (its last step) passes the strict certificate, else
+    SolverNotConverged if _MAX_NEWTON_ITER ran out or the round-off stop's
+    gradient norm is above the one it started from.
     """
     alpha = np.asarray(alpha, dtype=float)
     w = model.weights
@@ -114,12 +120,14 @@ def fj_lagrangian_variational(model: JumpModel, alpha) -> float:
     DV = D @ V
     a_red = V.T @ alpha
 
-    z = step = np.zeros(V.shape[1])
-    spent = False
+    z = z_prev = step = np.zeros(V.shape[1])
+    g_start = np.linalg.norm(a_red - DV.T @ w)  # the gradient norm at z = 0
+    stop = "spent"
     for _ in range(_MAX_NEWTON_ITER):
         e = w * np.exp(DV @ z)
         grad = a_red - DV.T @ e
-        if np.linalg.norm(grad) <= _NEWTON_TOL * (1.0 + np.linalg.norm(a_red)):
+        g_norm = np.linalg.norm(grad)
+        if g_norm <= _NEWTON_TOL * (1.0 + np.linalg.norm(a_red)):
             return float(a_red @ z - np.sum(e - w))
         H = DV.T @ (e[:, None] * DV)
         try:
@@ -138,14 +146,24 @@ def fj_lagrangian_variational(model: JumpModel, alpha) -> float:
             t *= 0.5
         z_next = z + t * step
         if np.array_equal(z_next, z):
+            stop = "round-off"
             break
-        z = z_next
-    else:
-        spent = True
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.linalg.norm(z_next)):
+                stop = "non-finite"
+                break
+        z_prev, z = z, z_next
+    if stop == "non-finite":
+        if _certifies_infeasible(D, alpha, -V @ (z - z_prev), strict=True):
+            raise Infeasible("the supremum is +inf: no nonnegative nu has D^T nu = alpha")
+        raise SolverNotConverged("variational Newton reached a non-finite iterate")
     if any(_certifies_infeasible(D, alpha, -V @ x, strict=True) for x in (z, step)):
         raise Infeasible("the supremum is +inf: no nonnegative nu has D^T nu = alpha")
-    if spent:
+    if stop == "spent":
         raise SolverNotConverged(f"variational Newton still moving after {_MAX_NEWTON_ITER} iterations")
+    if g_norm > g_start:
+        raise SolverNotConverged(f"variational Newton stopped on round-off with gradient norm "
+                                 f"{g_norm:.3e}, above its start's {g_start:.3e}")
     return float(a_red @ z - np.sum(w * np.exp(DV @ z) - w))
 
 

@@ -398,6 +398,16 @@ def test_mag_rate_non_integral_count_exits_2_before_the_solve(tmp_path, capsys, 
     assert not (tmp_path / "o" / "mag_rate.csv").exists()
 
 
+def test_mag_rate_exits_1_when_no_start_converges(tmp_path, capsys, monkeypatch):
+    solve = cli.tr.minimize_action_fixed
+    monkeypatch.setattr(cli.tr, "minimize_action_fixed", lambda *a, **k: solve(*a, **k, max_iter=1))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({**MAG_RATE, "N_list": [100]}))
+    assert run(["mag-rate", str(path), "--out-dir", str(tmp_path / "o")]) == 1
+    assert "error SolverNotConverged: fixed-start Newton" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "mag_rate.csv").exists()
+
+
 def test_integral_float_count_is_accepted(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"m0": 0.5, "mT": 0.0, "T": 1.0, "steps": 200.0}))

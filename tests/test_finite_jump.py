@@ -125,6 +125,36 @@ def test_variational_raises_infeasible_only_where_the_supremum_is_infinite(alpha
         assert abs(fj_lagrangian_variational(m, np.array(alpha)) - want) <= 1e-9
 
 
+def sparse_model(i):
+    """A generator with most rates zeroed and alpha = D^T nu0 for a nu0 with
+    some negative entries, so that alpha is often outside the flux cone."""
+    rng = np.random.default_rng(np.random.SeedSequence([20261020, i]))
+    n = int(rng.integers(2, 7))
+    D = rng.uniform(0.0, 2.0, (n, n))
+    D[rng.random((n, n)) < 0.6] = 0.0
+    np.fill_diagonal(D, 0.0)
+    D -= np.diag(D.sum(axis=1))
+    c = rng.uniform(0.3, 3.0, n)
+    mu = np.maximum(rng.dirichlet(np.full(n, 2.0)), 1e-3)
+    mu /= mu.sum()
+    nu0 = rng.uniform(0.1, 2.0, n)
+    nu0[rng.random(n) < 0.3] *= -1
+    return JumpModel(D, c, mu), D.T @ nu0
+
+
+@pytest.mark.parametrize("i", [107, 1090, 1159], ids=["non-finite-iterate", "round-off-1090",
+                                                      "round-off-1159"])
+def test_variational_returns_no_value_from_a_runaway_ascent(i):
+    # the dual certifies each of these infeasible; the ascent runs off along
+    # a near-null direction of D V (|z| about 1e294, 1e10 and 1e12), where
+    # it used to return 1.6e295, 3.7e10 and 2.3e12
+    model, alpha = sparse_model(i)
+    with pytest.raises(Infeasible):
+        fj_lagrangian_dual(model, alpha)
+    with pytest.raises((Infeasible, SolverNotConverged)):
+        fj_lagrangian_variational(model, alpha)
+
+
 def test_dual_resolves_a_flux_component_far_below_round_off():
     # nu* = w e^{-D z} with (D z)_1 = 40: nu*_1 = 2.1e-18 beside components of
     # order 1, so it stays below the primal residual's round-off and only

@@ -133,7 +133,7 @@ SHIPPED = {
     ("pw-rate", "pw_rate", 1): {
         "pw_rate.csv": "55d104a2513fcdd5939c0ce3f68e94285c5b5bcaf6ddc59fdba61ad1beb7afab"},
     ("mag-rate", "mag_rate", 1): {
-        "mag_rate.csv": "341f9af59332730204c36fd3001abdc6cb24a4e1aa496b8224cdfb8ab6900291"},
+        "mag_rate.csv": "6f4bcae62d6055d8e1b288d898f96c666bff993076e6f0de40a984565fcb14c9"},
     ("mag-bvp", "mag_bvp", 1): {
         "mag_bvp.csv": "68b56f5b4b47ff6937c32cec4c789368737e757e1c5e96068ac30e7bf61e2e54",
         "mag_bvp.json": "fb9694f23fda485525287befef8af93cf490898eef0c58487b63c1b02be454e4"},

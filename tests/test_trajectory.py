@@ -5,8 +5,9 @@ import warnings
 import numpy as np
 import pytest
 
-from spinldp.errors import DomainExit, NoFeasiblePath, PathLeavesDomain
+from spinldp.errors import DomainExit, NoFeasiblePath, PathLeavesDomain, SolverNotConverged
 from spinldp.magnetization import (
+    mag_endpoint_rate,
     mag_extremal,
     mag_hamilton_rhs,
     mag_hamiltonian,
@@ -14,6 +15,7 @@ from spinldp.magnetization import (
 )
 from spinldp.poisson_walk import PoissonWalkParams, pw_lagrangian, pw_model
 from spinldp.rate_functions import RateFunctionSpec, bernoulli_rate, double_well_rate
+from spinldp.seeding import rng_from
 from spinldp import trajectory as tr
 from spinldp.trajectory import (
     ActionProblem,
@@ -117,6 +119,78 @@ def test_minimize_fixed_no_feasible_path():
     problem = ActionProblem(model, FixedStart(1.0), 0.0, 1.0)  # must move down: impossible
     with pytest.raises(NoFeasiblePath):
         minimize_action_fixed(problem, steps=50, seed=0)
+
+
+@pytest.mark.parametrize("m0, mT, T, steps", [
+    (0.5, 0.0, 0.5, 400), (0.5, 0.999, 1.0, 200), (-0.3, -0.999, 0.7, 300), (0.9, -0.9, 3.0, 300),
+])
+def test_minimize_fixed_is_below_the_sampled_extremal_and_stationary(m0, mT, T, steps):
+    # the sampled extremal is a feasible path on the same grid, so the
+    # infimum can only lie below its action; the returned path is a
+    # stationary point of the discrete action to within gtol
+    problem = ActionProblem(MODEL, FixedStart(m0), mT, T)
+    traj, val = minimize_action_fixed(problem, steps=steps, seed=0)
+    ext = TrajectoryGrid(T=T, steps=steps, values=mag_extremal(m0, mT, T)[2](traj.times))
+    assert val <= action_integral(MODEL, ext)
+    fun_grad = tr._objective(MODEL.value_and_partials, T / steps, [m0], None, mT)
+    (f,), grads = fun_grad(traj.values[None, 1:-1])
+    assert f == val
+    assert np.abs(grads).max() <= 1e-9
+
+
+def _newton_runs(problem, steps, seed, max_iter=2000, gtol=1e-9):
+    """_newton_minimize's run from every start profile of a fixed-start problem."""
+    model, mT, T = problem.model, problem.end, problem.horizon
+    dt = T / steps
+    fun_grad = tr._objective(model.value_and_partials, dt, [problem.start.m0], None, mT)
+    return [tr._newton_minimize(model.value_and_partials, fun_grad, dt, p, max_iter, gtol)
+            for p in tr._start_profiles(model, problem.start, mT, T, steps, rng_from(seed))]
+
+
+@pytest.mark.parametrize("mT", [1.7, 0.3, -0.5])
+def test_newton_rows_stop_on_gtol_or_round_off_on_the_velocity_only_walk(mT):
+    # f is about 0.08 here, so near the optimum the predicted decrease falls
+    # below f's round-off: the value-only line search would stall there
+    problem = ActionProblem(pw_model(PoissonWalkParams(2.0, 1.0, 1)), FixedStart(0.0), mT, 1.0)
+    runs = _newton_runs(problem, 200, seed=1)
+    assert len(runs) == 6
+    for run in runs:
+        assert run.stop in ("gtol", "round-off") and run.iterations <= 30, run.stop
+
+
+def test_newton_round_off_stop_ends_a_run_that_gtol_cannot():
+    problem = ActionProblem(MODEL, FixedStart(0.5), 0.0, 0.5)
+    for run in _newton_runs(problem, 400, seed=0, gtol=0.0):
+        assert run.stop == "round-off" and run.iterations <= 30
+        assert run.gmax <= 1e-12
+
+
+def test_minimize_fixed_from_the_domain_edge_is_finite_without_warnings():
+    problem = ActionProblem(MODEL, FixedStart(1.0), 0.2, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, val = minimize_action_fixed(problem, steps=100, seed=0)
+    assert math.isfinite(val)
+    assert abs(val - float(mag_endpoint_rate(1.0, 0.2, 1.0))) <= 1e-3
+
+
+def test_minimize_fixed_evaluator_calls_are_bounded():
+    # criterion 4's solve; the CG driver it replaced made 2372 calls
+    calls = []
+
+    def value_and_partials(x, v):
+        calls.append(1)
+        return MODEL.value_and_partials(x, v)
+
+    model = dataclasses.replace(MODEL, value_and_partials=value_and_partials)
+    minimize_action_fixed(ActionProblem(model, FixedStart(0.5), 0.0, 0.5), steps=400, seed=0)
+    assert len(calls) <= 400
+
+
+def test_minimize_fixed_raises_when_no_row_converges():
+    problem = ActionProblem(MODEL, FixedStart(0.5), 0.0, 1.0)
+    with pytest.raises(SolverNotConverged, match=r"max_iter after 1 iterations with max\|g\| "):
+        minimize_action_fixed(problem, steps=400, seed=0, max_iter=1)
 
 
 @pytest.mark.parametrize("start, end", [
