@@ -430,13 +430,21 @@ def _objective(value_and_partials, dt, head, rate, end):
     return fun_grad
 
 
-def _second_partials(value_and_partials, x, v):
-    """(L_xx, L_xv, L_vv) at the nodes (x, v), by central differences of the
-    model's analytic partials, with euler_lagrange_residual's steps.
+def _newton_direction(value_and_partials, path, dt, g):
+    """The Newton step -H^{-1} g on the free nodes of a pinned path, or None.
 
-    One evaluator call on a (4 x nodes) stack.  L_xv averages the two mixed
-    differences.  Entries whose stencil leaves the domain come out inf or NaN.
+    H is the tridiagonal Hessian of A = dt * sum_i L(x_i, (x_{i+1} - x_i)/dt):
+    H_kk = dt L_xx(k) - 2 L_xv(k) + (L_vv(k) + L_vv(k-1))/dt and
+    H_k,k+1 = L_xv(k) - L_vv(k)/dt.  The second partials are central
+    differences of the model's analytic partials, with
+    euler_lagrange_residual's steps, from one evaluator call on a
+    (4 x nodes) stack; L_xv averages the two mixed differences.  A Thomas
+    (LDL^T) sweep in Python floats solves H; None when some pivot is not a
+    finite positive number, which is also where some entry of H is not
+    finite (a stencil that left the domain).
     """
+    x = path[:-1]
+    v = (path[1:] - x) / dt
     hx = 1e-6 * (1.0 + np.abs(x))
     hv = 1e-6 * (1.0 + np.abs(v))
     _, lx, lv = value_and_partials(np.stack([x + hx, x - hx, x, x]),
@@ -445,21 +453,6 @@ def _second_partials(value_and_partials, x, v):
         lxx = (lx[0] - lx[1]) / (2.0 * hx)
         lvv = (lv[2] - lv[3]) / (2.0 * hv)
         lxv = 0.5 * ((lx[2] - lx[3]) / (2.0 * hv) + (lv[0] - lv[1]) / (2.0 * hx))
-    return lxx, lxv, lvv
-
-
-def _newton_direction(value_and_partials, path, dt, g):
-    """The Newton step -H^{-1} g on the free nodes of a pinned path, or None.
-
-    H is the tridiagonal Hessian of A = dt * sum_i L(x_i, (x_{i+1} - x_i)/dt):
-    H_kk = dt L_xx(k) - 2 L_xv(k) + (L_vv(k) + L_vv(k-1))/dt and
-    H_k,k+1 = L_xv(k) - L_vv(k)/dt.  A Thomas (LDL^T) sweep in Python floats
-    solves it; None when some pivot is not a finite positive number, which
-    is also where some entry of H is not finite.
-    """
-    x = path[:-1]
-    lxx, lxv, lvv = _second_partials(value_and_partials, x, (path[1:] - x) / dt)
-    with np.errstate(invalid="ignore", over="ignore"):
         diag = (dt * lxx[1:] - 2.0 * lxv[1:] + (lvv[1:] + lvv[:-1]) / dt).tolist()
         off = (lxv[1:-1] - lvv[1:-1] / dt).tolist()
     y = (-g).tolist()
