@@ -20,6 +20,7 @@ the crossover.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, replace
@@ -103,6 +104,23 @@ def rate_function_from_descriptor(kind: str, params) -> RateFunctionSpec:
         raise ValueError(f"params: {kind}: {exc}") from exc
 
 
+@functools.lru_cache(maxsize=4)
+def _scan_rate_function(kind: str, params: tuple) -> RateFunctionSpec:
+    """rate_function_from_descriptor for the cells of one scan, which share
+    one I; badness_scan clears this cache first.  params must be hashable
+    (badness_scan turns list entries into tuples)."""
+    return rate_function_from_descriptor(kind, params)
+
+
+@functools.lru_cache(maxsize=4)
+def _static_on_grid(I: RateFunctionSpec) -> np.ndarray:
+    """I on _M_GRID, read-only: is_bad evaluates each rate function object
+    there once."""
+    static = np.array(I.evaluator(_M_GRID), dtype=float)
+    static.setflags(write=False)
+    return static
+
+
 def transition_cost(model, m_start: float, m_end: float, T: float, opts: SolverOpts = SolverOpts()) -> float:
     """K_T(m_start, m_end): fixed-endpoint action infimum."""
     problem = ActionProblem(model, FixedStart(m_start), m_end, T)
@@ -147,7 +165,9 @@ def is_bad(I: RateFunctionSpec, mT: float, T: float, epsilon: float, delta: floa
     n = 0.._N_LEVELS-1, the selected start is the global minimizer of
     m' -> I(m') + K_T(m', e), with K_T the closed-form continuum endpoint
     rate mag_endpoint_rate: the argmin over the fixed grid _M_GRID, refined
-    by a three-point parabola.  I is evaluated once, on that grid.  The
+    by a three-point parabola.  I is evaluated on that grid once per rate
+    function object (_static_on_grid), so a scan whose cells share one I
+    pays for it once.  The
     selections are recorded in diagnostics["plus_branch"] and
     ["minus_branch"], and their gaps g_n = |plus_n - minus_n| in ["gaps"].
     A continuous selection halves g_n at each level; a jump keeps it.  So
@@ -155,7 +175,7 @@ def is_bad(I: RateFunctionSpec, mT: float, T: float, epsilon: float, delta: floa
     than _JUMP_RATIO over the last level.  An endpoint outside [-1, 1]
     raises PathLeavesDomain.  Returns (flag, diagnostics).
     """
-    static = np.asarray(I.evaluator(_M_GRID), dtype=float)
+    static = _static_on_grid(I)
     diag = {"plus_branch": [], "minus_branch": []}
     for n in range(_N_LEVELS):
         for sign, key in ((+1.0, "plus_branch"), (-1.0, "minus_branch")):
@@ -212,7 +232,7 @@ class ScanCell:
 
 def _scan_cell(args):
     (kind, params, T, mT, epsilon, delta, opts, master_seed, index) = args
-    I = rate_function_from_descriptor(kind, params)
+    I = _scan_rate_function(kind, params)
     opts = replace(opts, seed=child_seed(master_seed, index))
     try:
         bad, diag = is_bad(I, mT, T, epsilon, delta)
@@ -251,13 +271,17 @@ def badness_scan(
     Cells are seeded by (master_seed, cell index) and assembled in index
     order, so the result is identical for any worker count.  Per-cell
     errors are recorded in the cell, never aborting the scan.  epsilon and
-    delta go to is_bad; scan-bad's config supplies their defaults.
+    delta go to is_bad; scan-bad's config supplies their defaults.  The
+    cells build their rate function once per scan (per worker), from the
+    descriptor with its list params turned into tuples.
     """
+    _scan_rate_function.cache_clear()
+    params = tuple(tuple(p) if isinstance(p, (list, tuple)) else p for p in I_params)
     jobs = []
     idx = 0
     for T in T_grid:
         for mT in mT_grid:
-            jobs.append((I_kind, tuple(I_params), float(T), float(mT),
+            jobs.append((I_kind, params, float(T), float(mT),
                          epsilon, delta, opts, master_seed, idx))
             idx += 1
     return tuple(ordered_map(_scan_cell, jobs, workers))

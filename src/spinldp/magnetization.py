@@ -52,21 +52,47 @@ def _log_factorials(n: int) -> np.ndarray:
     return _LOG_FACT_CACHE
 
 
-def mag_hamiltonian(m: float, p: float) -> float:
-    if abs(m) > 1 + 1e-12:
+def _is_array(x) -> bool:
+    """x is a NumPy array of one or more dimensions (cheaper than np.ndim on
+    a float, which the Hamilton flow's energy check calls 10^4 times)."""
+    return isinstance(x, np.ndarray) and x.ndim > 0
+
+
+def mag_hamiltonian(m, p):
+    """H(m, p) = (1/2)(1+m)(e^{-2p} - 1) + (1/2)(1-m)(e^{2p} - 1); +inf where
+    an exponential overflows.  Floats, NumPy scalars and 0-d arrays give a
+    float through math.expm1; when either input is an array of one or more
+    dimensions they broadcast to an array through np.expm1, which can differ
+    from math.expm1 in the last bit."""
+    if not (_is_array(m) or _is_array(p)):
+        if abs(m) > 1 + 1e-12:
+            raise ValueError("|m| must be <= 1")
+        try:
+            return 0.5 * (m + 1.0) * math.expm1(-2.0 * p) + 0.5 * (1.0 - m) * math.expm1(2.0 * p)
+        except OverflowError:
+            return math.inf
+    m, p = np.broadcast_arrays(np.asarray(m, dtype=float), np.asarray(p, dtype=float))
+    if np.any(np.abs(m) > 1 + 1e-12):
         raise ValueError("|m| must be <= 1")
-    try:
-        return 0.5 * (m + 1.0) * math.expm1(-2.0 * p) + 0.5 * (1.0 - m) * math.expm1(2.0 * p)
-    except OverflowError:
-        return math.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        down, up = np.expm1(-2.0 * p), np.expm1(2.0 * p)
+        val = 0.5 * (m + 1.0) * down + 0.5 * (1.0 - m) * up
+    return np.where(np.isinf(down) | np.isinf(up), np.inf, val)
 
 
-def mag_hamiltonian_dp(m: float, p: float) -> float:
-    """dH/dp; equals -2m at p = 0."""
-    try:
-        return -(1.0 + m) * math.exp(-2.0 * p) + (1.0 - m) * math.exp(2.0 * p)
-    except OverflowError:
-        return math.inf if p > 0 else -math.inf
+def mag_hamiltonian_dp(m, p):
+    """dH/dp; equals -2m at p = 0.  On overflow it is +inf for p > 0 and -inf
+    otherwise.  Scalars and arrays as in mag_hamiltonian (math.exp, np.exp)."""
+    if not (_is_array(m) or _is_array(p)):
+        try:
+            return -(1.0 + m) * math.exp(-2.0 * p) + (1.0 - m) * math.exp(2.0 * p)
+        except OverflowError:
+            return math.inf if p > 0 else -math.inf
+    m, p = np.broadcast_arrays(np.asarray(m, dtype=float), np.asarray(p, dtype=float))
+    with np.errstate(over="ignore", invalid="ignore"):
+        down, up = np.exp(-2.0 * p), np.exp(2.0 * p)
+        val = -(1.0 + m) * down + (1.0 - m) * up
+    return np.where(np.isinf(down) | np.isinf(up), np.where(p > 0, np.inf, -np.inf), val)
 
 
 def mag_lagrangian(m, q):

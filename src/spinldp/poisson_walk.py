@@ -46,12 +46,23 @@ class PoissonWalkParams:
             raise ValueError("scale N must be >= 1")
 
 
-def pw_hamiltonian(lam: float, params: PoissonWalkParams) -> float:
-    """b(e^lam - 1) + d(e^-lam - 1); overflow saturates to +inf."""
-    try:
-        return params.b * math.expm1(lam) + params.d * math.expm1(-lam)
-    except OverflowError:
-        return math.inf
+def pw_hamiltonian(lam, params: PoissonWalkParams):
+    """b(e^lam - 1) + d(e^-lam - 1); overflow saturates to +inf.
+
+    A float, NumPy scalar or 0-d lam gives a float through math.expm1; an
+    array lam of one or more dimensions an array through np.expm1, which
+    can differ from math.expm1 in the last bit.
+    """
+    if not (isinstance(lam, np.ndarray) and lam.ndim > 0):
+        try:
+            return params.b * math.expm1(lam) + params.d * math.expm1(-lam)
+        except OverflowError:
+            return math.inf
+    lam = np.asarray(lam, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        up, down = np.expm1(lam), np.expm1(-lam)
+        val = params.b * up + params.d * down
+    return np.where(np.isinf(up) | np.isinf(down), np.inf, val)
 
 
 def pw_lagrangian(a, params: PoissonWalkParams):

@@ -61,14 +61,10 @@ def criterion_1(cfg, workers=1):
     t0 = time.time()
     mgrid = np.round(np.arange(-0.9, 0.91, 0.1), 10)
     sgrid = np.round(np.arange(-4.0, 4.01, 0.1), 10)
-    gap_hl = du.duality_gap(
-        mag.mag_hamiltonian, lambda m, q: mag.mag_lagrangian(m, q), mgrid, sgrid,
-        l_deriv=lambda m, q: float(mag.mag_momentum(m, q)),
-    )
-    gap_lh = du.duality_gap(
-        lambda m, q: mag.mag_lagrangian(m, q), mag.mag_hamiltonian, mgrid, sgrid,
-        l_deriv=lambda m, p: mag.mag_hamiltonian_dp(m, p),
-    )
+    gap_hl = du.duality_gap(mag.mag_hamiltonian, mag.mag_lagrangian, mgrid, sgrid,
+                            l_deriv=mag.mag_momentum)
+    gap_lh = du.duality_gap(mag.mag_lagrangian, mag.mag_hamiltonian, mgrid, sgrid,
+                            l_deriv=mag.mag_hamiltonian_dp)
     worst = max(gap_hl, gap_lh)
     return _result(1, "conjugate-pair-duality", worst <= 1e-8,
                    f"max gap H->L {gap_hl:.3e}, L->H {gap_lh:.3e} (tol 1e-08)", t0)

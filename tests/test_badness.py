@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import warnings
@@ -329,3 +330,39 @@ def test_scan_cell_judges_every_cell_through_the_module_is_bad(monkeypatch):
     for cell, (_, _, _, diag) in zip(cells, seen):
         assert len(diag["plus_branch"]) == len(diag["minus_branch"]) == 5
         assert cell.branch_selection == (diag["plus_branch"][-1], diag["minus_branch"][-1])
+
+
+def test_scan_builds_its_rate_function_and_its_grid_values_once(monkeypatch):
+    # a tabulated descriptor carries list params; the cells of one scan share
+    # one I, evaluated on is_bad's start grid once, with unchanged verdicts
+    grid = np.linspace(-1.0, 1.0, 41)
+    params = [grid.tolist(), bernoulli_rate(0.2).evaluator(grid).tolist()]
+    built, on_grid = [], []
+    real = bd.rate_function_from_descriptor
+
+    def counting(kind, params):
+        spec = real(kind, params)
+
+        def ev(m):
+            on_grid.append(m is bd._M_GRID)
+            return spec.evaluator(m)
+
+        built.append(1)
+        return dataclasses.replace(spec, evaluator=ev)
+
+    monkeypatch.setattr(bd, "rate_function_from_descriptor", counting)
+    T_grid, mT_grid = [0.5, 1.0], [-0.3, 0.3]
+    opts = SolverOpts(min_steps=60, max_iter=400)
+    cells = badness_scan("tabulated", params, T_grid, mT_grid, epsilon=0.1, delta=0.05,
+                         opts=opts, master_seed=6)
+    assert len(built) == 1 and sum(on_grid) == 1
+    assert [c.error for c in cells] == [""] * 4
+    fresh = real("tabulated", params)
+    for cell in cells:
+        flag, diag = is_bad(fresh, cell.mT, cell.T, epsilon=0.1, delta=0.05)
+        assert cell.bad is flag
+        assert cell.branch_selection == (diag["plus_branch"][-1], diag["minus_branch"][-1])
+    # a second scan builds its own I
+    badness_scan("tabulated", params, T_grid[:1], mT_grid[:1], epsilon=0.1, delta=0.05,
+                 opts=opts, master_seed=6)
+    assert len(built) == 2

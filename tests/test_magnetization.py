@@ -62,7 +62,7 @@ def test_lagrangian_matches_numeric_conjugation_grid():
     gap = duality_gap(
         mag_hamiltonian, lambda m, q: mag_lagrangian(m, q),
         np.linspace(-0.9, 0.9, 7), np.linspace(-3, 3, 13),
-        l_deriv=lambda m, q: float(mag_momentum(m, q)),
+        l_deriv=mag_momentum,
     )
     assert gap <= 1e-9
 
